@@ -8,10 +8,7 @@ entry by entry).
 
 from __future__ import annotations
 
-
-def _check_odd(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be odd and >= 3, got {p}")
+from .modring import require_odd
 
 
 def invariant_table(p: int) -> tuple[int, ...]:
@@ -20,7 +17,7 @@ def invariant_table(p: int) -> tuple[int, ...]:
     a and b are the odd representatives in [0, 2p) of q and of q^-1, so the
     division by 4 is exact over the integers.
     """
-    _check_odd(p)
+    require_odd(p)
     table = [-1] * p
     for q in range(1, p):
         try:
@@ -39,7 +36,7 @@ def residue_table(p: int) -> tuple[int, ...]:
     Uses (2 - q - q^-1) * 4^-1 mod p, which never leaves the ring; serves as
     an independent route against the integer odd-lift computation.
     """
-    _check_odd(p)
+    require_odd(p)
     inv4 = pow(4, -1, p)
     table = [-1] * p
     for q in range(1, p):
@@ -57,7 +54,7 @@ def lift_mismatch(p: int, max_shift: int) -> int:
     Tries every lift pair a + 2jp, b + 2kp with 0 <= j, k <= max_shift against
     the canonical lifts; a clean sweep returns -1.
     """
-    _check_odd(p)
+    require_odd(p)
     for q in range(1, p):
         try:
             inv = pow(q, -1, p)

@@ -8,13 +8,13 @@ what actually happens, and no general claim is made.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Mapping
 
 from . import sweeps
-from .modring import Modulus, is_prime, mod_inverse, normalize, square_units, units
+from .framing import framing_value
+from .modring import Modulus, inverse, is_prime, require_odd, square_signature, units
 
 
 @unique
@@ -36,42 +36,30 @@ class FiberPartition:
     fibers: Mapping[int, frozenset[int]]
 
 
-def _require_odd(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be odd and >= 3, got {p}")
-
-
-def _unit(p: int, v: int) -> int:
-    u = v % p
-    if math.gcd(u, p) != 1:
-        raise ValueError(f"{v} is not a unit mod {p}")
-    return u
-
-
 def related(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     """Whether L(p, q) and L(p, q2) are identified under the given relation.
 
     Oriented homeomorphism means q2 in {q, q^-1}; allowing mirror images adds
-    {-q, -q^-1}.  Oriented homotopy equivalence means q2/q is a square unit,
-    and the unoriented version allows a sign.  FRAMING_EQUAL simply compares
-    framing values (p odd throughout).
+    {-q, -q^-1}.  Oriented homotopy equivalence means q2/q is a square unit
+    (by square_signature), and the unoriented version allows a sign.
+    FRAMING_EQUAL simply compares framing values (p odd throughout).  Each
+    answer takes a few pow calls; no per-modulus table is built.
     """
-    _require_odd(p)
-    q = _unit(p, q)
-    q2 = _unit(p, q2)
-    inv_q = mod_inverse(normalize(q, p)).value
+    require_odd(p)
+    inv_q = inverse(q, p)
+    inverse(q2, p)  # rejects a non-unit q2 as it rejects q
+    q, q2 = q % p, q2 % p
+    if kind is RelationKind.FRAMING_EQUAL:
+        return framing_value(p, q) == framing_value(p, q2)
     if kind is RelationKind.ORIENTED_HOMEO:
         return q2 == q or q2 == inv_q
     if kind is RelationKind.HOMEO:
         return q2 in (q, inv_q, p - q, p - inv_q)
-    if kind is RelationKind.FRAMING_EQUAL:
-        table = sweeps.invariant_table(p)
-        return table[q] == table[q2]
     ratio = q2 * inv_q % p
     if kind is RelationKind.ORIENTED_HOMOTOPY:
-        return ratio in square_units(p)
+        return all(square_signature(ratio, p))
     if kind is RelationKind.HOMOTOPY:
-        return ratio in square_units(p) or p - ratio in square_units(p)
+        return all(square_signature(ratio, p)) or all(square_signature(p - ratio, p))
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
@@ -93,7 +81,7 @@ def quadratic_roots(p: int, c: int) -> set[int]:
 
 def invariant_fibers(p: int) -> FiberPartition:
     """Partition the units of Z/p (p odd) by framing value."""
-    _require_odd(p)
+    require_odd(p)
     table = sweeps.invariant_table(p)
     grouped: dict[int, set[int]] = {}
     for q in units(p):
@@ -124,16 +112,17 @@ def collision_scan(p: int) -> list[tuple[int, int]]:
     empty result means the invariant still separates L(p, .) up to oriented
     homeomorphism at this order, and nothing more.
     """
-    _require_odd(p)
+    require_odd(p)
     if is_prime(p):
         raise ValueError(
             f"p must be composite, got prime {p} (use verify_prime_classification)"
         )
     pairs: list[tuple[int, int]] = []
     for fiber in invariant_fibers(p).fibers.values():
-        for q in sorted(fiber):
+        members = sorted(fiber)
+        for i, q in enumerate(members):
             inv_q = pow(q, -1, p)
-            for q2 in sorted(fiber):
-                if q2 > q and q2 != inv_q:
+            for q2 in members[i + 1 :]:
+                if q2 != inv_q:
                     pairs.append((q, q2))
     return sorted(pairs)

@@ -28,7 +28,7 @@ from .framing import (
     normalized_framing_invariant,
     universally_tight_obstructed,
 )
-from .modring import is_prime, units
+from .modring import is_prime, require_odd, units
 
 TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
 
@@ -67,14 +67,9 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _require_odd_p(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be odd and >= 3, got {p}")
-
-
 def invariant_payload(p: int, q: int, normalized: bool) -> dict:
     """Evaluate one invariant; q is reduced mod p before validation."""
-    _require_odd_p(p)
+    require_odd(p)
     q_red = q % p
     if math.gcd(q_red, p) != 1:
         raise ValueError(f"q = {q} is not coprime to p = {p}")

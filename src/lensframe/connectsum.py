@@ -9,12 +9,14 @@ not under oriented homeomorphism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .classify import RelationKind
 from .framing import LensSpace
-from .modring import is_prime, mod_inverse, normalize, square_units, units
+from .modring import inverse, is_prime, square_signature, units
 
 _GEOMETRIC_KINDS = (
     RelationKind.ORIENTED_HOMEO,
@@ -44,26 +46,31 @@ class SumOfLens:
 
 
 def _orbit(p: int, q: int, kind: RelationKind) -> set[int]:
-    # All unit residues identified with q under the relation.
-    inv_q = mod_inverse(normalize(q, p)).value
+    # All unit residues identified with q under a homeomorphism kind.
+    inv_q = inverse(q, p)
     if kind is RelationKind.ORIENTED_HOMEO:
         return {q, inv_q}
-    if kind is RelationKind.HOMEO:
-        return {q, inv_q, p - q, p - inv_q}
-    squares = square_units(p)
-    oriented = {s * q % p for s in squares}
-    if kind is RelationKind.ORIENTED_HOMOTOPY:
-        return oriented
-    return oriented | {p - v for v in oriented}
+    return {q, inv_q, p - q, p - inv_q}
+
+
+@lru_cache(maxsize=4096)
+def _least_with_signature(p: int, targets: frozenset[tuple[bool, ...]]) -> int:
+    # The least unit whose square_signature lies in targets: the least member
+    # of a homotopy orbit, which is a union of cosets of the unit squares.
+    return next(u for u in range(1, p) if math.gcd(u, p) == 1 and square_signature(u, p) in targets)
 
 
 def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
     """(p, least residue in the kind-orbit of q); at equal p, equal keys decide the relation."""
     if kind not in _GEOMETRIC_KINDS:
         raise ValueError(f"{kind.value} does not induce summand matching on sums")
-    if space.p % 2 == 0:
+    p, q = space.p, space.q
+    if p % 2 == 0:
         raise ValueError(f"summand {space} has even order")
-    return space.p, min(_orbit(space.p, space.q, kind))
+    if kind is RelationKind.ORIENTED_HOMEO or kind is RelationKind.HOMEO:
+        return p, min(_orbit(p, q, kind))
+    reps = (q, p - q) if kind is RelationKind.HOMOTOPY else (q,)
+    return p, _least_with_signature(p, frozenset(square_signature(v, p) for v in reps))
 
 
 def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:

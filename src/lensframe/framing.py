@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .modring import Modulus, mod_inverse, normalize, odd_representative
+from .modring import Modulus, inverse
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,18 @@ class QuotientData:
             )
 
 
-def _odd_lifts(space: LensSpace) -> tuple[int, int]:
-    # Odd representatives in [0, 2p) of q and q^-1; defined only for odd p.
-    if space.p % 2 == 0:
-        raise ValueError(f"invariant is defined only for odd p, got p = {space.p}")
-    r = normalize(space.q, space.p)
-    return odd_representative(r), odd_representative(mod_inverse(r))
+def _odd_lifts(p: int, q: int) -> tuple[int, int]:
+    # Odd representatives in [0, 2p) of a unit q in [1, p) and of q^-1; odd p only.
+    if p % 2 == 0:
+        raise ValueError(f"invariant is defined only for odd p, got p = {p}")
+    inv = inverse(q, p)
+    return (q if q & 1 else q + p), (inv if inv & 1 else inv + p)
+
+
+def framing_value(p: int, q: int) -> int:
+    """F(L(p, q)) as a plain int, for odd p and a unit q in [1, p)."""
+    a, b = _odd_lifts(p, q)
+    return (a - 1) * (b - 1) // 4 % p
 
 
 def framing_invariant(space: LensSpace) -> FramingClass:
@@ -112,33 +118,29 @@ def framing_invariant(space: LensSpace) -> FramingClass:
     divisible by 4 over the integers before any reduction; the resulting
     residue is independent of which odd lifts are taken.
     """
-    a, b = _odd_lifts(space)
-    return FramingClass((a - 1) * (b - 1) // 4 % space.p, Modulus(space.p))
+    return FramingClass(framing_value(space.p, space.q), Modulus(space.p))
 
 
 def framing_invariant_residue(space: LensSpace) -> FramingClass:
     """Redundant evaluation route that never leaves Z/p: (2 - q - q^-1) * 4^-1.
 
     Expanding (a-1)(b-1)/4 with ab = 1 mod p gives this form; both routes
-    must agree, which the test suite checks exhaustively.
+    must agree, which the test suite checks exhaustively.  4^-1 = ((p+1)/2)^2.
     """
-    if space.p % 2 == 0:
-        raise ValueError(f"invariant is defined only for odd p, got p = {space.p}")
-    r = normalize(space.q, space.p)
-    inv_q = mod_inverse(r).value
-    inv4 = mod_inverse(normalize(4, space.p)).value
-    return FramingClass((2 - r.value - inv_q) * inv4 % space.p, Modulus(space.p))
+    p, q = space.p, space.q
+    if p % 2 == 0:
+        raise ValueError(f"invariant is defined only for odd p, got p = {p}")
+    return FramingClass((2 - q - inverse(q, p)) * ((p + 1) // 2) ** 2 % p, Modulus(p))
 
 
 def normalized_framing_invariant(space: LensSpace) -> FramingClass:
     """Framing class recentred so that orientation reversal negates it.
 
     Declares the left-invariant framing to be -1/2 instead of 0, realised
-    inside Z/p as subtraction of 2^-1 (p odd makes 2 a unit).
+    inside Z/p as subtraction of 2^-1 = (p+1)/2 (p odd makes 2 a unit).
     """
     base = framing_invariant(space)
-    half = mod_inverse(normalize(2, space.p)).value
-    return FramingClass((base.value - half) % space.p, base.modulus)
+    return FramingClass((base.value - (space.p + 1) // 2) % space.p, base.modulus)
 
 
 def equivariant_map_degree(space: LensSpace, k: int) -> int:
@@ -147,7 +149,7 @@ def equivariant_map_degree(space: LensSpace, k: int) -> int:
     Equals (a-1)(b-1)/4 + k*p as a plain integer; reduction mod p recovers
     the framing invariant for every k.
     """
-    a, b = _odd_lifts(space)
+    a, b = _odd_lifts(space.p, space.q)
     return (a - 1) * (b - 1) // 4 + k * space.p
 
 

@@ -49,25 +49,23 @@ def normalize(v: int, m: Modulus | int) -> Residue:
     return Residue(v % mod.m, mod)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Iterative extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
+def require_odd(p: int) -> None:
+    """Reject p unless it is odd and >= 3, the domain of the sweeps and relations."""
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be odd and >= 3, got {p}")
+
+
+def inverse(v: int, m: int) -> int:
+    """Inverse in [0, m) of the unit v (any integer representative) of Z/m."""
+    try:
+        return pow(v, -1, m)
+    except ValueError:
+        raise ValueError(f"{v} is not a unit mod {m}") from None
 
 
 def mod_inverse(r: Residue) -> Residue:
-    """Multiplicative inverse of a unit, via the extended Euclidean algorithm."""
-    g, x, _ = _egcd(r.value, r.m)
-    if g != 1:
-        raise ValueError(f"{r.value} is not a unit mod {r.m}")
-    return Residue(x % r.m, r.modulus)
+    """Multiplicative inverse of a unit residue: inverse() on Residue values."""
+    return Residue(inverse(r.value, r.m), r.modulus)
 
 
 def odd_representative(r: Residue) -> int:
@@ -85,28 +83,40 @@ def units(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def square_units(m: int) -> frozenset[int]:
-    """The squares inside the unit group of Z/m, by exhaustive enumeration."""
+    """The squares inside the unit group of Z/m, by exhaustive enumeration (the test reference)."""
     return frozenset(u * u % m for u in units(m))
 
 
+@lru_cache(maxsize=4096)
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct prime factors of m >= 1 in increasing order, by trial division."""
+    factors = []
+    for f in range(2, math.isqrt(m) + 1):
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+    return tuple(factors + [m] if m > 1 else factors)
+
+
+def square_signature(v: int, m: int) -> tuple[bool, ...]:
+    """Quadratic character of the unit v at each odd prime factor of m, by Euler's criterion.
+
+    By Hensel's lemma, for odd m the unit v is a square exactly when every entry is True.
+    """
+    return tuple(pow(v, (f - 1) // 2, f) == 1 for f in prime_factors(m) if f != 2)
+
+
 def is_square_unit(r: Residue) -> bool:
-    """Whether some unit n satisfies n^2 = r in Z/m."""
+    """Whether some unit n satisfies n^2 = r in Z/m, decided without enumerating units.
+
+    square_signature decides the odd part of m; mod 2^e, squares are the units = 1 mod min(2^e, 8).
+    """
     if math.gcd(r.value, r.m) != 1:
         raise ValueError(f"{r.value} is not a unit mod {r.m}")
-    return r.value in square_units(r.m)
+    return (r.value - 1) % min(r.m & -r.m, 8) == 0 and all(square_signature(r.value, r.m))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division up to sqrt(n); plenty for desk-scale n."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    """Deterministic trial division up to sqrt(n), by prime_factors; plenty for desk-scale n."""
+    return n >= 2 and prime_factors(n) == (n,)

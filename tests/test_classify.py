@@ -1,5 +1,6 @@
 import pytest
 
+from lensframe import sweeps
 from lensframe.classify import (
     RelationKind,
     collision_scan,
@@ -8,8 +9,9 @@ from lensframe.classify import (
     related,
     verify_prime_classification,
 )
+from lensframe.connectsum import canonical_key
 from lensframe.framing import LensSpace, framing_invariant
-from lensframe.modring import units
+from lensframe.modring import square_units, units
 
 RK = RelationKind
 
@@ -50,6 +52,25 @@ def test_framing_equal_matches_invariant():
                     == framing_invariant(LensSpace(p, q2)).value
                 )
                 assert related(RK.FRAMING_EQUAL, p, q, q2) == expected
+
+
+def test_point_queries_build_no_per_modulus_tables():
+    p = 10**7 + 19  # a prime = 11 mod 12: -1 is a non-square and 3 a square
+    caches = (sweeps.invariant_table, units, square_units)
+    before = [cache.cache_info() for cache in caches]
+    half = (p + 1) // 2
+    assert related(RK.ORIENTED_HOMEO, p, 2, half)
+    assert related(RK.HOMEO, p, 2, p - half)
+    assert not related(RK.ORIENTED_HOMEO, p, 2, p - half)
+    assert related(RK.FRAMING_EQUAL, p, 2, half)
+    assert not related(RK.FRAMING_EQUAL, p, 2, 3)
+    assert related(RK.ORIENTED_HOMOTOPY, p, 1, 3)
+    assert not related(RK.ORIENTED_HOMOTOPY, p, 3, p - 12)
+    assert related(RK.HOMOTOPY, p, 3, p - 12)
+    assert canonical_key(LensSpace(p, half), RK.HOMEO) == (p, 2)
+    assert canonical_key(LensSpace(p, 12), RK.ORIENTED_HOMOTOPY) == (p, 1)
+    assert canonical_key(LensSpace(p, p - 1), RK.HOMOTOPY) == (p, 1)
+    assert [cache.cache_info() for cache in caches] == before
 
 
 def test_related_input_validation():

@@ -6,7 +6,7 @@ import pytest
 from lensframe.classify import RelationKind, related
 from lensframe.connectsum import SumOfLens, canonical_key, find_exotic_pairs, sums_equivalent
 from lensframe.framing import LensSpace
-from lensframe.modring import units
+from lensframe.modring import square_units, units
 
 RK = RelationKind
 GEOMETRIC = (RK.ORIENTED_HOMEO, RK.HOMEO, RK.ORIENTED_HOMOTOPY, RK.HOMOTOPY)
@@ -40,6 +40,34 @@ def test_canonical_key_examples():
     assert canonical_key(LensSpace(5, 3), RK.ORIENTED_HOMEO) == (5, 2)
     assert canonical_key(LensSpace(5, 1), RK.HOMOTOPY) == (5, 1)
     assert canonical_key(LensSpace(7, 1), RK.ORIENTED_HOMEO) == (7, 1)
+
+
+def enumerated_keys(p):
+    # least member of each unit's orbit, by listing the orbits (cosets of the squares)
+    squares = square_units(p)
+    coset_min = {}
+    for q in units(p):
+        if q not in coset_min:
+            coset = {s * q % p for s in squares}
+            coset_min.update(dict.fromkeys(coset, min(coset)))
+    keys = {}
+    for q in units(p):
+        inv_q = pow(q, -1, p)
+        keys[q] = {
+            RK.ORIENTED_HOMEO: min(q, inv_q),
+            RK.HOMEO: min(q, inv_q, p - q, p - inv_q),
+            RK.ORIENTED_HOMOTOPY: coset_min[q],
+            RK.HOMOTOPY: min(coset_min[q], coset_min[p - q]),
+        }
+    return keys
+
+
+def test_canonical_key_is_least_of_enumerated_orbit():
+    # all odd p <= 255: three prime factors at 105, 165, 195, 255; prime powers at 9, 27, 125, 243
+    for p in range(3, 256, 2):
+        for q, expected in enumerated_keys(p).items():
+            for kind in GEOMETRIC:
+                assert canonical_key(LensSpace(p, q), kind) == (p, expected[kind])
 
 
 def test_canonical_key_rejects_framing_kind():

@@ -3,11 +3,16 @@ import pytest
 from lensframe.modring import (
     Modulus,
     Residue,
+    inverse,
     is_prime,
     is_square_unit,
     mod_inverse,
     normalize,
     odd_representative,
+    prime_factors,
+    require_odd,
+    square_signature,
+    square_units,
     units,
 )
 
@@ -62,6 +67,21 @@ def test_mod_inverse_rejects_non_units():
         mod_inverse(normalize(6, 9))
     with pytest.raises(ValueError, match="not a unit"):
         mod_inverse(normalize(0, 7))
+
+
+def test_inverse_takes_any_representative():
+    assert inverse(-1, 7) == 6
+    assert inverse(12, 5) == 3
+    with pytest.raises(ValueError, match="^12 is not a unit mod 9$"):
+        inverse(12, 9)
+
+
+def test_require_odd():
+    for p in (3, 9, 10**7 + 19):
+        require_odd(p)
+    for p in (-3, 1, 2, 8):
+        with pytest.raises(ValueError, match=f"^p must be odd and >= 3, got {p}$"):
+            require_odd(p)
 
 
 def test_mod_inverse_matches_brute_force_scan():
@@ -127,6 +147,35 @@ def test_square_detection_multiplicative_on_primes():
                 lhs = is_square_unit(normalize(a * b, p))
                 rhs = is_square_unit(normalize(a, p)) == is_square_unit(normalize(b, p))
                 assert lhs == rhs
+
+
+def test_square_detection_matches_enumeration():
+    # every m <= 255, even ones included; among them 105, 165, 195 and 255
+    # (three prime factors) and 9, 27, 125 and 243 (odd prime powers)
+    for m in range(2, 256):
+        squares = square_units(m)
+        for v in units(m):
+            assert is_square_unit(normalize(v, m)) == (v in squares)
+
+
+def test_square_signature_classes_are_cosets_of_the_squares():
+    for m in range(3, 256, 2):
+        squares = square_units(m)
+        classes = {}
+        for v in units(m):
+            sig = square_signature(v, m)
+            assert all(sig) == (v in squares)
+            classes.setdefault(sig, set()).add(v)
+        for members in classes.values():
+            rep = min(members)
+            assert members == {rep * s % m for s in squares}
+
+
+def test_prime_factors_match_sieve():
+    flags = sieve(1000)
+    for n in range(1, 1001):
+        assert prime_factors(n) == tuple(f for f in range(2, n + 1) if flags[f] and n % f == 0)
+    assert prime_factors(10**7 + 19) == (10**7 + 19,)
 
 
 def test_is_prime_examples():
