@@ -26,11 +26,15 @@ from .framing import (
     framing_invariant,
     framing_modulus,
     normalized_framing_invariant,
+    odd_lifts,
     universally_tight_obstructed,
 )
 from .modring import is_prime, require_odd, units
 
 TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
+
+# verify tries the lifts a + 2jp, b + 2kp of every unit for 0 <= j, k <= MAX_SHIFT.
+MAX_SHIFT = 5
 
 
 class OutputFormat(Enum):
@@ -89,33 +93,19 @@ def table_rows(p_min: int, p_max: int) -> list[dict]:
         table = sweeps.invariant_table(p)
         half = pow(2, -1, p)
         for q in units(p):
-            q_inv = pow(q, -1, p)
+            a, b = odd_lifts(p, q)
             rows.append(
                 {
                     "p": p,
                     "q": q,
-                    "q_inv": q_inv,
-                    "odd_rep_q": q if q % 2 == 1 else q + p,
-                    "odd_rep_qinv": q_inv if q_inv % 2 == 1 else q_inv + p,
+                    "q_inv": b if b < p else b - p,  # b mod p, reusing b's int when b < p
+                    "odd_rep_q": a,
+                    "odd_rep_qinv": b,
                     "F": table[q],
                     "F_norm": (table[q] - half) % p,
                 }
             )
     return rows
-
-
-def _first_bad_lift(p: int, q: int, max_shift: int = 5) -> int:
-    # Cold path: recover the offending lifted value for a failure record.
-    inv = pow(q, -1, p)
-    a = q if q % 2 == 1 else q + p
-    b = inv if inv % 2 == 1 else inv + p
-    base = (a - 1) * (b - 1) // 4 % p
-    for j in range(max_shift + 1):
-        for k in range(max_shift + 1):
-            v = (a + 2 * j * p - 1) * (b + 2 * k * p - 1) // 4 % p
-            if v != base:
-                return v
-    return base
 
 
 def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, list[tuple[int, int]]]]:
@@ -129,11 +119,12 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, list[tup
         table = sweeps.invariant_table(p)
         unit_values = units(p)
 
-        bad = sweeps.lift_mismatch(p, 5)
-        report.checks_run += len(unit_values) * 36
+        bad = sweeps.lift_mismatch(p, MAX_SHIFT)
+        report.checks_run += len(unit_values) * (MAX_SHIFT + 1) ** 2
         if bad != -1:
+            actual = sweeps.first_bad_lift(p, bad, MAX_SHIFT)
             report.failures.append(
-                ("representative-independence", p, bad, None, table[bad], _first_bad_lift(p, bad))
+                ("representative-independence", p, bad, None, table[bad], actual)
             )
 
         for q in unit_values:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .modring import Modulus, inverse
+from .modring import Modulus, inverse, require_odd
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,16 @@ class QuotientData:
             )
 
 
-def _odd_lifts(p: int, q: int) -> tuple[int, int]:
-    # Odd representatives in [0, 2p) of a unit q in [1, p) and of q^-1; odd p only.
-    if p % 2 == 0:
-        raise ValueError(f"invariant is defined only for odd p, got p = {p}")
+def odd_lifts(p: int, q: int) -> tuple[int, int]:
+    """Odd representatives in [0, 2p) of a unit q in [1, p) and of q^-1, for odd p >= 3."""
+    require_odd(p)
     inv = inverse(q, p)
     return (q if q & 1 else q + p), (inv if inv & 1 else inv + p)
 
 
 def framing_value(p: int, q: int) -> int:
     """F(L(p, q)) as a plain int, for odd p and a unit q in [1, p)."""
-    a, b = _odd_lifts(p, q)
+    a, b = odd_lifts(p, q)
     return (a - 1) * (b - 1) // 4 % p
 
 
@@ -128,8 +127,7 @@ def framing_invariant_residue(space: LensSpace) -> FramingClass:
     must agree, which the test suite checks exhaustively.  4^-1 = ((p+1)/2)^2.
     """
     p, q = space.p, space.q
-    if p % 2 == 0:
-        raise ValueError(f"invariant is defined only for odd p, got p = {p}")
+    require_odd(p)
     return FramingClass((2 - q - inverse(q, p)) * ((p + 1) // 2) ** 2 % p, Modulus(p))
 
 
@@ -149,7 +147,7 @@ def equivariant_map_degree(space: LensSpace, k: int) -> int:
     Equals (a-1)(b-1)/4 + k*p as a plain integer; reduction mod p recovers
     the framing invariant for every k.
     """
-    a, b = _odd_lifts(space.p, space.q)
+    a, b = odd_lifts(space.p, space.q)
     return (a - 1) * (b - 1) // 4 + k * space.p
 
 

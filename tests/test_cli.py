@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+from lensframe import sweeps
 from lensframe.cli import main, run_verification
 from lensframe.framing import LensSpace, framing_invariant
 
@@ -114,6 +115,18 @@ def test_verification_report_counts():
     assert report.checks_run > 0
     assert report.failures == []
     assert collisions == {}
+
+
+def test_verification_records_a_lift_failure(monkeypatch):
+    sweeps.invariant_table(3)  # cached with the true odd lifts before the patch
+
+    def even_lifts(p, q):
+        return tuple(v if v % 2 == 0 else v + p for v in (q, pow(q, -1, p)))
+
+    # With even lifts the value depends on the shift: 3*3//4 = 2 but 3*9//4 = 0 (mod 3).
+    monkeypatch.setattr(sweeps, "odd_lifts", even_lifts)
+    report, _ = run_verification(3)
+    assert report.failures == [("representative-independence", 3, 1, None, 0, 0)]
 
 
 def test_search_plain(capsys):

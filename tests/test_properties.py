@@ -1,0 +1,67 @@
+"""Property tests of the invariant's identities at random odd p, bigint p included."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lensframe import sweeps
+from lensframe.framing import (
+    LensSpace,
+    framing_invariant,
+    framing_invariant_residue,
+    framing_value,
+    odd_lifts,
+)
+from lensframe.modring import inverse
+
+# Odd p from 3 up to about 2**21, or beyond 2**65 where no machine word holds the lift products.
+ODD_P = st.one_of(st.integers(1, 2**20), st.integers(2**64, 2**80)).map(lambda n: 2 * n + 1)
+SHIFTS = st.integers(0, 2**32)
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def unit_of_odd_p(draw):
+    p = draw(ODD_P)
+    q = draw(st.integers(1, p - 1).filter(lambda q: math.gcd(q, p) == 1))
+    return p, q
+
+
+@PROPERTY_SETTINGS
+@given(unit_of_odd_p(), SHIFTS, SHIFTS)
+def test_any_odd_lifts_give_the_invariant(unit, j, k):
+    p, q = unit
+    a, b = odd_lifts(p, q)
+    lifted = (a + 2 * j * p - 1) * (b + 2 * k * p - 1)
+    assert lifted % 4 == 0
+    assert lifted // 4 % p == framing_value(p, q)
+    assert sweeps.first_bad_lift(p, q, 2) is None
+
+
+@PROPERTY_SETTINGS
+@given(unit_of_odd_p())
+def test_inverse_symmetry(unit):
+    p, q = unit
+    assert framing_value(p, inverse(q, p)) == framing_value(p, q)
+
+
+@PROPERTY_SETTINGS
+@given(unit_of_odd_p())
+def test_raw_antisymmetry(unit):
+    p, q = unit
+    assert (framing_value(p, q) + framing_value(p, p - q)) % p == 1
+
+
+@PROPERTY_SETTINGS
+@given(unit_of_odd_p())
+def test_evaluation_routes_agree(unit):
+    space = LensSpace(*unit)
+    assert framing_invariant(space) == framing_invariant_residue(space)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 499).map(lambda n: 2 * n + 1))
+def test_sweeps_agree_and_come_back_clean(p):
+    assert sweeps.invariant_table(p) == sweeps.residue_table(p)
+    assert sweeps.lift_mismatch(p, 2) == -1

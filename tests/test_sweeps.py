@@ -1,13 +1,8 @@
 import pytest
 
-from lensframe import _sweeps_py, sweeps
+from lensframe import sweeps
 from lensframe.framing import LensSpace, framing_invariant, framing_invariant_residue
 from lensframe.modring import units
-
-try:
-    from lensframe import _sweeps_cy
-except ImportError:
-    _sweeps_cy = None
 
 SAMPLE_P = [3, 5, 7, 9, 15, 21, 45, 99, 121, 499, 997]
 
@@ -54,21 +49,4 @@ def test_tables_are_immutable_and_cached():
 
 
 def test_backend_reports_name():
-    assert sweeps.BACKEND in {"compiled", "python"}
-
-
-@pytest.mark.skipif(_sweeps_cy is None, reason="compiled extension not built")
-def test_backends_agree():
-    for p in SAMPLE_P:
-        assert _sweeps_cy.invariant_table(p) == _sweeps_py.invariant_table(p)
-        assert _sweeps_cy.residue_table(p) == _sweeps_py.residue_table(p)
-        assert _sweeps_cy.lift_mismatch(p, 5) == _sweeps_py.lift_mismatch(p, 5)
-
-
-@pytest.mark.skipif(_sweeps_cy is None, reason="compiled extension not built")
-def test_compiled_rejects_bad_p_like_pure():
-    for fn in (_sweeps_cy.invariant_table, _sweeps_cy.residue_table):
-        with pytest.raises(ValueError):
-            fn(8)
-    with pytest.raises(ValueError):
-        _sweeps_cy.lift_mismatch(1, 5)
+    assert sweeps.BACKEND == "python"
