@@ -100,7 +100,7 @@ def verify_prime_classification(p: int) -> bool:
     fibers = invariant_fibers(p).fibers
     table = sweeps.invariant_table(p)
     for q in range(1, p):
-        if fibers[table[q]] != {q, pow(q, -1, p)}:
+        if fibers[table[q]] != {q, inverse(q, p)}:
             return False
     return True
 
@@ -121,7 +121,7 @@ def collision_scan(p: int) -> list[tuple[int, int]]:
     for fiber in invariant_fibers(p).fibers.values():
         members = sorted(fiber)
         for i, q in enumerate(members):
-            inv_q = pow(q, -1, p)
+            inv_q = inverse(q, p)
             for q2 in members[i + 1 :]:
                 if q2 != inv_q:
                     pairs.append((q, q2))

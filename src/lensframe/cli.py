@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,7 +30,7 @@ from .framing import (
     odd_lifts,
     universally_tight_obstructed,
 )
-from .modring import is_prime, require_odd, units
+from .modring import inverse, is_prime, require_odd, units
 
 TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
 
@@ -79,32 +80,29 @@ def invariant_payload(p: int, q: int, normalized: bool) -> dict:
         raise ValueError(f"q = {q} is not coprime to p = {p}")
     space = LensSpace(p, q_red)
     cls = normalized_framing_invariant(space) if normalized else framing_invariant(space)
-    q_inv = pow(q_red, -1, p)
+    q_inv = inverse(q_red, p)
     return {"p": p, "q": q_red, "q_inv": q_inv, "value": cls.value, "normalized": normalized}
 
 
-def table_rows(p_min: int, p_max: int) -> list[dict]:
-    """One row per (odd p in range, unit q), sorted by (p, q)."""
+def table_rows(p_min: int, p_max: int) -> Iterator[list[tuple[int, ...]]]:
+    """The table's rows in TABLE_COLUMNS order, one block per odd p in range, sorted by (p, q).
+
+    The range is checked at once; each block is computed only when it is asked for.
+    """
     if not 3 <= p_min <= p_max:
         raise ValueError(f"need 3 <= p_min <= p_max, got {p_min}..{p_max}")
+    return map(_table_block, range(p_min | 1, p_max + 1, 2))
+
+
+def _table_block(p: int) -> list[tuple[int, ...]]:
+    table = sweeps.invariant_table(p)
+    half = (p + 1) // 2
     rows = []
-    start = p_min if p_min % 2 == 1 else p_min + 1
-    for p in range(start, p_max + 1, 2):
-        table = sweeps.invariant_table(p)
-        half = pow(2, -1, p)
-        for q in units(p):
-            a, b = odd_lifts(p, q)
-            rows.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "q_inv": b if b < p else b - p,  # b mod p, reusing b's int when b < p
-                    "odd_rep_q": a,
-                    "odd_rep_qinv": b,
-                    "F": table[q],
-                    "F_norm": (table[q] - half) % p,
-                }
-            )
+    for q in units(p):
+        a, b = odd_lifts(p, q)
+        value = table[q]
+        # q_inv is b mod p, reusing b's int when b < p
+        rows.append((p, q, b if b < p else b - p, a, b, value, (value - half) % p))
     return rows
 
 
@@ -128,7 +126,7 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, list[tup
             )
 
         for q in unit_values:
-            q_inv = pow(q, -1, p)
+            q_inv = inverse(q, p)
             report.checks_run += 1
             if table[q] != table[q_inv]:
                 report.failures.append(("inverse-symmetry", p, q, q_inv, table[q], table[q_inv]))
@@ -160,14 +158,22 @@ def _render_invariant(payload: dict, fmt: OutputFormat) -> str:
     return f"{payload['value']} (mod {payload['p']})"
 
 
-def _render_table(rows: list[dict], fmt: OutputFormat) -> str:
+def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: OutputFormat) -> Iterator[str]:
+    """The table as one text chunk per block; joined, they are the text of a whole-table render."""
     if fmt is OutputFormat.JSON:
-        return json.dumps(rows)
-    if fmt is OutputFormat.CSV:
-        return _csv_text(TABLE_COLUMNS, [tuple(r[c] for c in TABLE_COLUMNS) for r in rows])
-    lines = [" ".join(TABLE_COLUMNS)]
-    lines.extend(" ".join(str(r[c]) for c in TABLE_COLUMNS) for r in rows)
-    return "\n".join(lines)
+        # json.dumps of the row dicts, one block at a time: every value is an int.
+        row_json = "{" + ", ".join(f'"{c}": %d' for c in TABLE_COLUMNS) + "}"
+        separator = "["
+        for block in blocks:
+            yield separator + ", ".join([row_json % row for row in block])
+            separator = ", "
+        yield "[]" if separator == "[" else "]"
+        return
+    separator = "," if fmt is OutputFormat.CSV else " "
+    yield separator.join(TABLE_COLUMNS)
+    line = "\n" + separator.join(["%d"] * len(TABLE_COLUMNS))
+    for block in blocks:
+        yield "".join([line % row for row in block])
 
 
 def _render_verify(
@@ -228,7 +234,8 @@ def _render_obstruct(payload: dict, fmt: OutputFormat) -> str:
     return f"{verdict} (mod {payload['modulus']})"
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
+def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
+    """The output (one string, or the table's lazy chunks) and the exit code."""
     fmt = OutputFormat(args.format)
     if args.command == "invariant":
         return _render_invariant(invariant_payload(args.p, args.q, args.normalized), fmt), 0
@@ -303,15 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _write(output: str | Iterable[str], stream) -> None:
+    """Write the output, then one newline unless it is empty or already ends with one."""
+    last = ""
+    for chunk in (output,) if isinstance(output, str) else output:
+        if chunk:
+            stream.write(chunk)
+            last = chunk
+    if last and not last.endswith("\n"):
+        stream.write("\n")
+
+
+def _emit(output: str | Iterable[str], out_path: str | None) -> None:
     if out_path is None:
-        if text:
-            print(text)
+        _write(output, sys.stdout)
         return
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if text and not text.endswith("\n"):
-            fh.write("\n")
+        _write(output, fh)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -321,14 +336,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = _dispatch(args)
+        output, code = _dispatch(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(text, args.out)
+        _emit(output, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write to {args.out or 'stdout'}: {exc}", file=sys.stderr)
         return 1
     return code
 

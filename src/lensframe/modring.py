@@ -10,6 +10,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+# Per-modulus tables kept by units, square_units and the sweeps: sweeps go in
+# increasing p, so a few recent moduli cover every reuse and memory stays flat.
+TABLE_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class Modulus:
@@ -75,13 +79,13 @@ def odd_representative(r: Residue) -> int:
     return r.value if r.value % 2 == 1 else r.value + r.m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def units(m: int) -> tuple[int, ...]:
     """All unit residues of Z/m in increasing order."""
     return tuple(v for v in range(1, m) if math.gcd(v, m) == 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def square_units(m: int) -> frozenset[int]:
     """The squares inside the unit group of Z/m, by exhaustive enumeration (the test reference)."""
     return frozenset(u * u % m for u in units(m))

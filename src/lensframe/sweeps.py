@@ -1,8 +1,8 @@
 """Sweeps over the whole unit group of Z/p.
 
-Tables are cached per modulus because the classification and verification
-layers reuse them heavily; they are tuples, so cached entries cannot be
-mutated by callers.
+Tables are cached for the last few moduli because the classification and
+verification layers reuse them heavily within one p; they are tuples, so
+cached entries cannot be mutated by callers.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from functools import lru_cache
 from math import gcd
 
 from .framing import odd_lifts
-from .modring import inverse, require_odd, units
+from .modring import TABLE_CACHE_SIZE, inverse, require_odd, units
 
 BACKEND = "python"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def invariant_table(p: int) -> tuple[int, ...]:
     """Framing values (a-1)(b-1)/4 mod p for every q in [0, p); -1 at non-units.
 
@@ -32,7 +32,7 @@ def invariant_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def residue_table(p: int) -> tuple[int, ...]:
     """Same values as invariant_table, computed entirely inside Z/p.
 

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import sys
+from pathlib import Path
+
+import pytest
 
 from lensframe import sweeps
 from lensframe.cli import main, run_verification
 from lensframe.framing import LensSpace, framing_invariant
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +91,42 @@ def test_table_sorted_and_json_matches_csv(capsys):
 def test_table_bad_range(capsys):
     code, _, err = run_cli(capsys, "table", "9", "5")
     assert code == 1
+
+
+@pytest.mark.parametrize("p_min, p_max", [(3, 15), (4, 4), (3, 3)])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_table_matches_golden_output(tmp_path, capsys, p_min, p_max, fmt):
+    golden = (GOLDEN / f"table_{p_min}_{p_max}.{fmt}").read_bytes()
+    argv = ["table", str(p_min), str(p_max), "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == golden
+    target = tmp_path / f"table.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == golden
+
+
+def test_table_bad_range_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    assert main(["table", "9", "5", "--out", str(target)]) == 1
+    assert not target.exists()
+
+
+def test_table_header_is_written_before_the_last_p_is_computed(monkeypatch):
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    written_before = {}
+    invariant_table = sweeps.invariant_table
+
+    def recorder(p):
+        written_before[p] = stdout.getvalue()
+        return invariant_table(p)
+
+    monkeypatch.setattr(sweeps, "invariant_table", recorder)
+    assert main(["table", "3", "9", "--format", "csv"]) == 0
+    assert list(written_before) == [3, 5, 7, 9]
+    assert written_before[3] == "p,q,q_inv,odd_rep_q,odd_rep_qinv,F,F_norm"
+    assert written_before[9].endswith("\n7,6,6,13,13,1,4")  # all of p = 7 is out already
 
 
 def test_verify_small(capsys):
@@ -200,8 +242,22 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_out_unwritable(tmp_path, capsys):
-    code = main(["table", "3", "9", "--out", str(tmp_path / "missing" / "x.csv")])
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["table", "3", "9", "--out", str(target)])
     assert code == 1
+    assert f"error: cannot write to {target}: " in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_named_in_the_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["table", "3", "999"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
 
 
 def test_usage_errors_exit_1(capsys):

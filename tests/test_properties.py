@@ -1,16 +1,22 @@
 """Property tests of the invariant's identities at random odd p, bigint p included."""
 
+import contextlib
+import csv
+import io
+import json
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensframe import sweeps
+from lensframe.cli import TABLE_COLUMNS, main
 from lensframe.framing import (
     LensSpace,
     framing_invariant,
     framing_invariant_residue,
     framing_value,
+    normalized_framing_invariant,
     odd_lifts,
 )
 from lensframe.modring import inverse
@@ -65,3 +71,34 @@ def test_evaluation_routes_agree(unit):
 def test_sweeps_agree_and_come_back_clean(p):
     assert sweeps.invariant_table(p) == sweeps.residue_table(p)
     assert sweeps.lift_mismatch(p, 2) == -1
+
+
+def _table_text(p_min, p_max, fmt):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["table", str(p_min), str(p_max), "--format", fmt]) == 0
+    return stdout.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 301).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 301))))
+def test_cli_table_round_trips(p_range):
+    p_min, p_max = p_range
+    plain = [line.split() for line in _table_text(p_min, p_max, "plain").splitlines()]
+    comma = list(csv.reader(io.StringIO(_table_text(p_min, p_max, "csv"))))
+    assert tuple(plain[0]) == tuple(comma[0]) == TABLE_COLUMNS
+    rows = [tuple(map(int, row)) for row in plain[1:]]
+    assert [tuple(map(int, row)) for row in comma[1:]] == rows
+    objects = json.loads(_table_text(p_min, p_max, "json"))
+    assert all(tuple(obj) == TABLE_COLUMNS for obj in objects)
+    assert [tuple(obj.values()) for obj in objects] == rows
+
+    odd_ps = range(p_min | 1, p_max + 1, 2)
+    assert [row[:2] for row in rows] == [(p, q) for p in odd_ps for q in range(1, p) if math.gcd(q, p) == 1]
+    for p, q, q_inv, odd_q, odd_q_inv, value, normalized in rows:
+        space = LensSpace(p, q)
+        assert value == framing_invariant(space).value
+        assert normalized == normalized_framing_invariant(space).value
+        assert q * q_inv % p == 1
+        assert odd_q % 2 == odd_q_inv % 2 == 1
+        assert (odd_q % p, odd_q_inv % p) == (q, q_inv)
