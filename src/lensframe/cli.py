@@ -12,6 +12,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import classify, sweeps
-from .connectsum import find_exotic_pairs
+from .connectsum import SumOfLens, find_exotic_pairs
 from .framing import (
     FramingClass,
     LensSpace,
@@ -36,6 +38,9 @@ TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
 
 # verify tries the lifts a + 2jp, b + 2kp of every unit for 0 <= j, k <= MAX_SHIFT.
 MAX_SHIFT = 5
+
+# search writes its pairs in chunks of this many lines.
+SEARCH_BLOCK = 4096
 
 
 class OutputFormat(Enum):
@@ -207,20 +212,45 @@ def _render_verify(
     return "\n".join(lines)
 
 
-def _render_search(pairs, fmt: OutputFormat) -> str:
+def _render_search(pairs: list[tuple[SumOfLens, SumOfLens]], fmt: OutputFormat) -> Iterator[str]:
+    """The pairs as text chunks of SEARCH_BLOCK pairs; joined, they are the text of a whole render."""
     if fmt is OutputFormat.JSON:
-        return json.dumps(
-            [
-                {
-                    "first": [[s.p, s.q] for s in a.summands],
-                    "second": [[s.p, s.q] for s in b.summands],
-                }
-                for a, b in pairs
-            ]
-        )
+        render, line = _sum_json, '{"first": %s, "second": %s}'
+    elif fmt is OutputFormat.CSV:
+        render, line = _sum_csv_field, "%s,%s\n"
+    else:
+        render, line = str, "%s ~h %s (not homeo)\n"
+    # Each distinct sum is rendered once, keyed by identity: the pair list keeps
+    # every sum alive meanwhile, and hashing a sum costs more than rendering it.
+    text = {id(total): total for pair in pairs for total in pair}
+    text = {key: render(total) for key, total in text.items()}
+    blocks = (
+        [line % (text[id(a)], text[id(b)]) for a, b in pairs[i : i + SEARCH_BLOCK]]
+        for i in range(0, len(pairs), SEARCH_BLOCK)
+    )
+    if fmt is OutputFormat.JSON:
+        separator = "["
+        for block in blocks:
+            yield separator + ", ".join(block)
+            separator = ", "
+        yield "[]" if separator == "[" else "]"
+        return
     if fmt is OutputFormat.CSV:
-        return _csv_text(("first", "second"), [(str(a), str(b)) for a, b in pairs])
-    return "\n".join(f"{a} ~h {b} (not homeo)" for a, b in pairs)
+        yield "first,second\n"
+    for block in blocks:
+        yield "".join(block)
+
+
+def _sum_json(total: SumOfLens) -> str:
+    return json.dumps([[s.p, s.q] for s in total.summands])
+
+
+def _sum_csv_field(total: SumOfLens) -> str:
+    # The sum's text as csv.writer quotes it in a row; the quoting of a field
+    # does not depend on the other fields of its row.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((str(total),))
+    return buf.getvalue()[:-1]
 
 
 def _render_obstruct(payload: dict, fmt: OutputFormat) -> str:
@@ -235,7 +265,7 @@ def _render_obstruct(payload: dict, fmt: OutputFormat) -> str:
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
-    """The output (one string, or the table's lazy chunks) and the exit code."""
+    """The output (one string, or the lazy chunks of table and search) and the exit code."""
     fmt = OutputFormat(args.format)
     if args.command == "invariant":
         return _render_invariant(invariant_payload(args.p, args.q, args.normalized), fmt), 0
@@ -325,8 +355,52 @@ def _emit(output: str | Iterable[str], out_path: str | None) -> None:
     if out_path is None:
         _write(output, sys.stdout)
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        _write(output, fh)
+    replacement = _replacement_for(out_path)
+    if replacement is None:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            _write(output, fh)
+        return
+    # The file is replaced only once the whole output is written, so a failed
+    # or interrupted run leaves its old contents as they were.
+    fd, tmp_path, mode = replacement
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            _write(output, fh)
+        if mode is not None:
+            os.chmod(tmp_path, mode)
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
+def _replacement_for(path: str) -> tuple[int, str, int | None] | None:
+    """A new temporary file beside path, and the mode of path when it exists.
+
+    None when path exists but is not a regular file (a device, a FIFO, a
+    symlink), or when no temporary file can be made beside it: then path is
+    written in place, and any error names path itself.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        mode = None  # the new file gets the umask's mode, as from open()
+    except OSError:
+        return None
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        mode = stat.S_IMODE(st.st_mode)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return None
+    return fd, tmp_path, mode
 
 
 def main(argv: list[str] | None = None) -> int:

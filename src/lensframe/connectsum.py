@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
+from operator import itemgetter
 
 from .classify import RelationKind
 from .framing import LensSpace
@@ -105,7 +106,8 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, Su
     Enumerates sums with num_summands summands of odd prime order <= max_p,
     one representative per oriented-homeomorphism class, and returns every
     unordered pair matching under ORIENTED_HOMOTOPY while differing under
-    ORIENTED_HOMEO.  Results are deduplicated and deterministically ordered.
+    ORIENTED_HOMEO.  Each pair is listed once, with its sums in (p, q) order,
+    and the list is sorted by the (p, q) tuples of the first sum, then of the second.
     """
     if max_p < 3:
         raise ValueError(f"max_p must be >= 3, got {max_p}")
@@ -117,21 +119,23 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, Su
         for p in primes
     }
 
-    pairs: list[tuple[SumOfLens, SumOfLens]] = []
+    # Both sums of a pair lie in one homotopy group, so walking all sums in
+    # (p, q) order and pairing each with the later members of its group gives
+    # the pairs in (first, second) order without sorting the pairs.
+    heads = []  # (the sum's (p, q) tuples, the sum, the later sums of its group)
     for p_values in combinations_with_replacement(primes, num_summands):
         by_homotopy: dict[tuple[tuple[int, int], ...], list[SumOfLens]] = {}
         for total in _distinct_sums(p_values, reps):
             key = tuple(sorted(canonical_key(s, RelationKind.ORIENTED_HOMOTOPY) for s in total.summands))
             by_homotopy.setdefault(key, []).append(total)
         for group in by_homotopy.values():
-            ordered = sorted(group, key=lambda t: tuple((s.p, s.q) for s in t.summands))
-            pairs.extend(combinations(ordered, 2))
+            ordered = sorted((_sum_key(t), t) for t in group)
+            later = [t for _, t in ordered]
+            heads.extend((order, t, later[i + 1 :]) for i, (order, t) in enumerate(ordered))
+    heads.sort(key=itemgetter(0))
+    return [(first, second) for _, first, rest in heads for second in rest]
 
-    def _pair_order(pair: tuple[SumOfLens, SumOfLens]):
-        a, b = pair
-        return (
-            tuple((s.p, s.q) for s in a.summands),
-            tuple((s.p, s.q) for s in b.summands),
-        )
 
-    return sorted(pairs, key=_pair_order)
+def _sum_key(total: SumOfLens) -> tuple[tuple[int, int], ...]:
+    # Distinct sums have distinct keys, so tuples led by this key never compare sums.
+    return tuple((s.p, s.q) for s in total.summands)

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
+import stat
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -96,12 +99,17 @@ def test_table_bad_range(capsys):
 @pytest.mark.parametrize("p_min, p_max", [(3, 15), (4, 4), (3, 3)])
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_table_matches_golden_output(tmp_path, capsys, p_min, p_max, fmt):
-    golden = (GOLDEN / f"table_{p_min}_{p_max}.{fmt}").read_bytes()
-    argv = ["table", str(p_min), str(p_max), "--format", fmt]
+    assert_golden_output(tmp_path, capsys, ["table", str(p_min), str(p_max)], fmt)
+
+
+def assert_golden_output(tmp_path, capsys, args, fmt):
+    # stdout and an --out file both equal the golden copy, byte for byte.
+    golden = (GOLDEN / f"{'_'.join(args)}.{fmt}").read_bytes()
+    argv = args + ["--format", fmt]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == golden
-    target = tmp_path / f"table.{fmt}"
+    target = tmp_path / f"out.{fmt}"
     assert main(argv + ["--out", str(target)]) == 0
     assert target.read_bytes() == golden
 
@@ -110,6 +118,72 @@ def test_table_bad_range_writes_no_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     assert main(["table", "9", "5", "--out", str(target)]) == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("max_p, summands", [(13, 2), (7, 1), (3, 1)])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_search_matches_golden_output(tmp_path, capsys, max_p, summands, fmt):
+    assert_golden_output(tmp_path, capsys, ["search", str(max_p), str(summands)], fmt)
+
+
+@pytest.mark.parametrize("argv", [["search", "2"], ["search", "7", "3"]])
+def test_search_bad_input_writes_no_file(tmp_path, capsys, argv):
+    target = tmp_path / "search.txt"
+    assert main(argv + ["--out", str(target)]) == 1
+    assert not target.exists()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_interrupted_out_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "table.csv"
+    target.write_text("old contents\n")
+    invariant_table = sweeps.invariant_table
+
+    def fail_at_7(p):
+        if p == 7:
+            raise _Interrupted
+        return invariant_table(p)
+
+    monkeypatch.setattr(sweeps, "invariant_table", fail_at_7)
+    with pytest.raises(_Interrupted):
+        main(["table", "3", "9", "--out", str(target)])
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_out_keeps_the_mode_of_the_replaced_file(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    target.write_text("old contents\n")
+    target.chmod(0o640)
+    assert main(["table", "3", "9", "--out", str(target)]) == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert target.read_text().startswith("p q q_inv")
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_text("old contents\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert main(["search", "7", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_bytes() == (GOLDEN / "search_7_1.plain").read_bytes()
+
+
+def test_out_to_a_fifo_writes_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["search", "7", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [(GOLDEN / "search_7_1.plain").read_bytes()]
 
 
 def test_table_header_is_written_before_the_last_p_is_computed(monkeypatch):

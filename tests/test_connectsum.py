@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -154,3 +154,28 @@ def test_search_results_recheck_and_are_unique():
             assert sorted(x.p for x in a.summands) == sorted(x.p for x in b.summands)
             assert sums_equivalent(a, b, RK.ORIENTED_HOMOTOPY)
             assert not sums_equivalent(a, b, RK.ORIENTED_HOMEO)
+
+
+def brute_force_exotic_pairs(max_p, num_summands):
+    # Every unordered pair of sums of oriented-homeo representatives, kept by
+    # the two relations and sorted by the (p, q) tuples of both sums.
+    primes = [p for p in range(3, max_p + 1, 2) if all(p % d for d in range(3, p, 2))]
+    reps = sorted({(p, min(q, pow(q, -1, p))) for p in primes for q in units(p)})
+    spaces = [LensSpace(p, q) for p, q in reps]
+    sums = [SumOfLens(summands) for summands in combinations_with_replacement(spaces, num_summands)]
+    pairs = [
+        (a, b)
+        for a, b in combinations(sums, 2)
+        if sums_equivalent(a, b, RK.ORIENTED_HOMOTOPY) and not sums_equivalent(a, b, RK.ORIENTED_HOMEO)
+    ]
+
+    def pq(total):
+        return tuple((s.p, s.q) for s in total.summands)
+
+    return sorted(pairs, key=lambda pair: (pq(pair[0]), pq(pair[1])))
+
+
+@pytest.mark.parametrize("num_summands", [1, 2])
+def test_search_matches_brute_force_in_order(num_summands):
+    for max_p in range(3, 14):
+        assert find_exotic_pairs(max_p, num_summands) == brute_force_exotic_pairs(max_p, num_summands), max_p
