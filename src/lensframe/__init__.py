@@ -27,15 +27,7 @@ from .framing import (
     normalized_framing_invariant,
     universally_tight_obstructed,
 )
-from .modring import (
-    Modulus,
-    Residue,
-    is_prime,
-    is_square_unit,
-    mod_inverse,
-    normalize,
-    odd_representative,
-)
+from .modring import Modulus, is_prime, is_square_unit
 from .sweeps import BACKEND
 
 __version__ = "0.1.0"
@@ -48,7 +40,6 @@ __all__ = [
     "Modulus",
     "QuotientData",
     "RelationKind",
-    "Residue",
     "SumOfLens",
     "canonical_key",
     "collision_scan",
@@ -60,10 +51,7 @@ __all__ = [
     "invariant_fibers",
     "is_prime",
     "is_square_unit",
-    "mod_inverse",
-    "normalize",
     "normalized_framing_invariant",
-    "odd_representative",
     "quadratic_roots",
     "related",
     "sums_equivalent",

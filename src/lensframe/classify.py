@@ -99,8 +99,9 @@ def verify_prime_classification(p: int) -> bool:
         raise ValueError(f"p must be an odd prime, got {p}")
     fibers = invariant_fibers(p).fibers
     table = sweeps.invariant_table(p)
+    _, inverses = sweeps.unit_group(p)
     for q in range(1, p):
-        if fibers[table[q]] != {q, inverse(q, p)}:
+        if fibers[table[q]] != {q, inverses[q]}:
             return False
     return True
 
@@ -117,11 +118,12 @@ def collision_scan(p: int) -> list[tuple[int, int]]:
         raise ValueError(
             f"p must be composite, got prime {p} (use verify_prime_classification)"
         )
+    _, inverses = sweeps.unit_group(p)
     pairs: list[tuple[int, int]] = []
     for fiber in invariant_fibers(p).fibers.values():
         members = sorted(fiber)
         for i, q in enumerate(members):
-            inv_q = inverse(q, p)
+            inv_q = inverses[q]
             for q2 in members[i + 1 :]:
                 if q2 != inv_q:
                     pairs.append((q, q2))

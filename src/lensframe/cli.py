@@ -29,10 +29,10 @@ from .framing import (
     framing_invariant,
     framing_modulus,
     normalized_framing_invariant,
-    odd_lifts,
+    odd_lift,
     universally_tight_obstructed,
 )
-from .modring import inverse, is_prime, require_odd, units
+from .modring import inverse, is_prime, require_odd
 
 TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
 
@@ -101,13 +101,13 @@ def table_rows(p_min: int, p_max: int) -> Iterator[list[tuple[int, ...]]]:
 
 def _table_block(p: int) -> list[tuple[int, ...]]:
     table = sweeps.invariant_table(p)
+    group, inverses = sweeps.unit_group(p)
     half = (p + 1) // 2
     rows = []
-    for q in units(p):
-        a, b = odd_lifts(p, q)
+    for q in group:
+        q_inv = inverses[q]
         value = table[q]
-        # q_inv is b mod p, reusing b's int when b < p
-        rows.append((p, q, b if b < p else b - p, a, b, value, (value - half) % p))
+        rows.append((p, q, q_inv, odd_lift(q, p), odd_lift(q_inv, p), value, (value - half) % p))
     return rows
 
 
@@ -120,18 +120,18 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, list[tup
     collisions: dict[int, list[tuple[int, int]]] = {}
     for p in range(3, max_p + 1, 2):
         table = sweeps.invariant_table(p)
-        unit_values = units(p)
+        unit_values, inverses = sweeps.unit_group(p)
 
         bad = sweeps.lift_mismatch(p, MAX_SHIFT)
         report.checks_run += len(unit_values) * (MAX_SHIFT + 1) ** 2
         if bad != -1:
-            actual = sweeps.first_bad_lift(p, bad, MAX_SHIFT)
+            actual = sweeps.first_bad_lift(p, bad, inverses[bad], MAX_SHIFT)
             report.failures.append(
                 ("representative-independence", p, bad, None, table[bad], actual)
             )
 
         for q in unit_values:
-            q_inv = inverse(q, p)
+            q_inv = inverses[q]
             report.checks_run += 1
             if table[q] != table[q_inv]:
                 report.failures.append(("inverse-symmetry", p, q, q_inv, table[q], table[q_inv]))

@@ -36,14 +36,18 @@ class SumOfLens:
     def __post_init__(self) -> None:
         spaces = tuple(sorted(self.summands, key=lambda s: (s.p, s.q)))
         for space in spaces:
-            if space.p % 2 == 0:
-                raise ValueError(f"summand {space} has even order")
+            _require_odd_order(space)
         object.__setattr__(self, "summands", spaces)
 
     def __str__(self) -> str:
         if not self.summands:
             return "S3"
         return "#".join(str(space) for space in self.summands)
+
+
+def _require_odd_order(space: LensSpace) -> None:
+    if space.p % 2 == 0:
+        raise ValueError(f"summand {space} has even order")
 
 
 def _orbit(p: int, q: int, kind: RelationKind) -> set[int]:
@@ -65,9 +69,8 @@ def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
     """(p, least residue in the kind-orbit of q); at equal p, equal keys decide the relation."""
     if kind not in _GEOMETRIC_KINDS:
         raise ValueError(f"{kind.value} does not induce summand matching on sums")
+    _require_odd_order(space)
     p, q = space.p, space.q
-    if p % 2 == 0:
-        raise ValueError(f"summand {space} has even order")
     if kind is RelationKind.ORIENTED_HOMEO or kind is RelationKind.HOMEO:
         return p, min(_orbit(p, q, kind))
     reps = (q, p - q) if kind is RelationKind.HOMOTOPY else (q,)
@@ -118,6 +121,11 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, Su
         p: sorted({min(_orbit(p, q, RelationKind.ORIENTED_HOMEO)) for q in units(p)})
         for p in primes
     }
+    homotopy_key = {
+        (p, r): canonical_key(LensSpace(p, r), RelationKind.ORIENTED_HOMOTOPY)
+        for p, p_reps in reps.items()
+        for r in p_reps
+    }
 
     # Both sums of a pair lie in one homotopy group, so walking all sums in
     # (p, q) order and pairing each with the later members of its group gives
@@ -126,7 +134,7 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, Su
     for p_values in combinations_with_replacement(primes, num_summands):
         by_homotopy: dict[tuple[tuple[int, int], ...], list[SumOfLens]] = {}
         for total in _distinct_sums(p_values, reps):
-            key = tuple(sorted(canonical_key(s, RelationKind.ORIENTED_HOMOTOPY) for s in total.summands))
+            key = tuple(sorted(homotopy_key[s.p, s.q] for s in total.summands))
             by_homotopy.setdefault(key, []).append(total)
         for group in by_homotopy.values():
             ordered = sorted((_sum_key(t), t) for t in group)

@@ -97,11 +97,15 @@ class QuotientData:
             )
 
 
+def odd_lift(v: int, p: int) -> int:
+    """The odd member of {v, v + p} for v in [0, p) and odd p: an odd lift in [0, 2p)."""
+    return v if v & 1 else v + p
+
+
 def odd_lifts(p: int, q: int) -> tuple[int, int]:
     """Odd representatives in [0, 2p) of a unit q in [1, p) and of q^-1, for odd p >= 3."""
     require_odd(p)
-    inv = inverse(q, p)
-    return (q if q & 1 else q + p), (inv if inv & 1 else inv + p)
+    return odd_lift(q, p), odd_lift(inverse(q, p), p)
 
 
 def framing_value(p: int, q: int) -> int:

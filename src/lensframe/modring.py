@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z/m: residues, inverses, odd lifts, unit squares, primality.
+"""Exact arithmetic in Z/m on plain ints: inverses, units, unit squares, primality.
 
 Everything here is a pure function of its inputs; the values are immutable
 and safe to share between threads.
@@ -26,33 +26,6 @@ class Modulus:
             raise ValueError(f"modulus must be >= 2, got {self.m}")
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/m stored as its canonical representative in [0, m)."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.m:
-            raise ValueError(
-                f"residue value {self.value} out of range [0, {self.modulus.m})"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.modulus.m
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.m})"
-
-
-def normalize(v: int, m: Modulus | int) -> Residue:
-    """Reduce an arbitrary integer (negatives included) to its residue in [0, m)."""
-    mod = m if isinstance(m, Modulus) else Modulus(m)
-    return Residue(v % mod.m, mod)
-
-
 def require_odd(p: int) -> None:
     """Reject p unless it is odd and >= 3, the domain of the sweeps and relations."""
     if p < 3 or p % 2 == 0:
@@ -65,18 +38,6 @@ def inverse(v: int, m: int) -> int:
         return pow(v, -1, m)
     except ValueError:
         raise ValueError(f"{v} is not a unit mod {m}") from None
-
-
-def mod_inverse(r: Residue) -> Residue:
-    """Multiplicative inverse of a unit residue: inverse() on Residue values."""
-    return Residue(inverse(r.value, r.m), r.modulus)
-
-
-def odd_representative(r: Residue) -> int:
-    """The odd member of {v, v + m}; requires odd m, so the result lies in [0, 2m)."""
-    if r.m % 2 == 0:
-        raise ValueError(f"odd modulus required, got {r.m}")
-    return r.value if r.value % 2 == 1 else r.value + r.m
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -111,14 +72,14 @@ def square_signature(v: int, m: int) -> tuple[bool, ...]:
     return tuple(pow(v, (f - 1) // 2, f) == 1 for f in prime_factors(m) if f != 2)
 
 
-def is_square_unit(r: Residue) -> bool:
-    """Whether some unit n satisfies n^2 = r in Z/m, decided without enumerating units.
+def is_square_unit(v: int, m: int) -> bool:
+    """Whether some unit n satisfies n^2 = v in Z/m, decided without enumerating units.
 
     square_signature decides the odd part of m; mod 2^e, squares are the units = 1 mod min(2^e, 8).
     """
-    if math.gcd(r.value, r.m) != 1:
-        raise ValueError(f"{r.value} is not a unit mod {r.m}")
-    return (r.value - 1) % min(r.m & -r.m, 8) == 0 and all(square_signature(r.value, r.m))
+    if math.gcd(v, m) != 1:
+        raise ValueError(f"{v} is not a unit mod {m}")
+    return (v - 1) % min(m & -m, 8) == 0 and all(square_signature(v, m))
 
 
 def is_prime(n: int) -> bool:

@@ -2,18 +2,30 @@
 
 Tables are cached for the last few moduli because the classification and
 verification layers reuse them heavily within one p; they are tuples, so
-cached entries cannot be mutated by callers.
+cached entries cannot be mutated by callers.  Every sweep reads its units
+and their inverses from unit_group, so each inverse is computed once per p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
 
-from .framing import odd_lifts
+from .framing import odd_lift
 from .modring import TABLE_CACHE_SIZE, inverse, require_odd, units
 
 BACKEND = "python"
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def unit_group(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The units of Z/p in increasing order, and q^-1 at each unit q in [0, p) (0 at non-units)."""
+    require_odd(p)
+    group = units(p)
+    inverses = [0] * p
+    for q, q_inv in zip(group, map(pow, group, repeat(-1), repeat(p))):
+        inverses[q] = q_inv
+    return group, tuple(inverses)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -23,12 +35,10 @@ def invariant_table(p: int) -> tuple[int, ...]:
     a and b are the odd lifts of q and q^-1, so the division by 4 is exact
     over the integers.
     """
-    require_odd(p)
+    group, inverses = unit_group(p)
     table = [-1] * p
-    for q in range(1, p):
-        if gcd(q, p) == 1:
-            a, b = odd_lifts(p, q)
-            table[q] = (a - 1) * (b - 1) // 4 % p
+    for q in group:
+        table[q] = (odd_lift(q, p) - 1) * (odd_lift(inverses[q], p) - 1) // 4 % p
     return tuple(table)
 
 
@@ -39,24 +49,27 @@ def residue_table(p: int) -> tuple[int, ...]:
     Uses (2 - q - q^-1) * 4^-1 mod p, which never leaves the ring; serves as
     an independent route against the integer odd-lift computation.
     """
-    require_odd(p)
+    group, inverses = unit_group(p)
     inv4 = inverse(4, p)
     table = [-1] * p
-    for q in units(p):
-        table[q] = (2 - q - inverse(q, p)) * inv4 % p
+    for q in group:
+        table[q] = (2 - q - inverses[q]) * inv4 % p
     return tuple(table)
 
 
-def first_bad_lift(p: int, q: int, max_shift: int) -> int | None:
+def first_bad_lift(p: int, q: int, q_inv: int, max_shift: int) -> int | None:
     """First value (a+2jp-1)(b+2kp-1)/4 mod p that differs from F(L(p, q)), or None.
 
-    a and b are the odd lifts of q and q^-1; tries every 0 <= j, k <= max_shift.
+    a and b are the odd lifts of the unit q and of its inverse q_inv, both in
+    [1, p); tries every 0 <= j, k <= max_shift.
     """
-    a, b = odd_lifts(p, q)
-    base = (a - 1) * (b - 1) // 4 % p
-    b_lifts = [b + 2 * k * p - 1 for k in range(max_shift + 1)]
-    for j in range(max_shift + 1):
-        aj = a + 2 * j * p - 1
+    a = odd_lift(q, p) - 1
+    b = odd_lift(q_inv, p) - 1
+    base = a * b // 4 % p
+    step = 2 * p
+    stop = step * (max_shift + 1)
+    b_lifts = range(b, b + stop, step)
+    for aj in range(a, a + stop, step):
         for bk in b_lifts:
             value = aj * bk // 4 % p
             if value != base:
@@ -66,8 +79,8 @@ def first_bad_lift(p: int, q: int, max_shift: int) -> int | None:
 
 def lift_mismatch(p: int, max_shift: int) -> int:
     """First unit whose invariant depends on the choice of odd lifts, or -1."""
-    require_odd(p)
-    for q in units(p):
-        if first_bad_lift(p, q, max_shift) is not None:
+    group, inverses = unit_group(p)
+    for q in group:
+        if first_bad_lift(p, q, inverses[q], max_shift) is not None:
             return q
     return -1

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import stat
 import sys
 import threading
@@ -102,16 +103,17 @@ def test_table_matches_golden_output(tmp_path, capsys, p_min, p_max, fmt):
     assert_golden_output(tmp_path, capsys, ["table", str(p_min), str(p_max)], fmt)
 
 
-def assert_golden_output(tmp_path, capsys, args, fmt):
-    # stdout and an --out file both equal the golden copy, byte for byte.
-    golden = (GOLDEN / f"{'_'.join(args)}.{fmt}").read_bytes()
+def assert_golden_output(tmp_path, capsys, args, fmt, mask=bytes):
+    # stdout and an --out file both equal the golden copy, byte for byte once
+    # mask has rewritten what may differ between runs in both.
+    golden = mask((GOLDEN / f"{'_'.join(args)}.{fmt}").read_bytes())
     argv = args + ["--format", fmt]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert out.encode() == golden
+    assert mask(out.encode()) == golden
     target = tmp_path / f"out.{fmt}"
     assert main(argv + ["--out", str(target)]) == 0
-    assert target.read_bytes() == golden
+    assert mask(target.read_bytes()) == golden
 
 
 def test_table_bad_range_writes_no_file(tmp_path, capsys):
@@ -124,6 +126,27 @@ def test_table_bad_range_writes_no_file(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
 def test_search_matches_golden_output(tmp_path, capsys, max_p, summands, fmt):
     assert_golden_output(tmp_path, capsys, ["search", str(max_p), str(summands)], fmt)
+
+
+# elapsed_ms is the only field of verify's output that changes from run to run.
+_ELAPSED = {
+    "plain": (rb" checks in [0-9.]+ ms,", b" checks in * ms,"),
+    "csv": (rb",[0-9.]+\n$", b",*\n"),
+    "json": (rb'"elapsed_ms": [0-9.e+-]+,', b'"elapsed_ms": *,'),
+}
+
+
+@pytest.mark.parametrize("max_p", [15, 45])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_verify_matches_golden_output(tmp_path, capsys, max_p, fmt):
+    pattern, replacement = _ELAPSED[fmt]
+
+    def mask(text):
+        masked, count = re.subn(pattern, replacement, text, count=1)
+        assert count == 1
+        return masked
+
+    assert_golden_output(tmp_path, capsys, ["verify", str(max_p)], fmt, mask)
 
 
 @pytest.mark.parametrize("argv", [["search", "2"], ["search", "7", "3"]])
@@ -236,11 +259,11 @@ def test_verification_report_counts():
 def test_verification_records_a_lift_failure(monkeypatch):
     sweeps.invariant_table(3)  # cached with the true odd lifts before the patch
 
-    def even_lifts(p, q):
-        return tuple(v if v % 2 == 0 else v + p for v in (q, pow(q, -1, p)))
+    def even_lift(v, p):
+        return v if v % 2 == 0 else v + p
 
     # With even lifts the value depends on the shift: 3*3//4 = 2 but 3*9//4 = 0 (mod 3).
-    monkeypatch.setattr(sweeps, "odd_lifts", even_lifts)
+    monkeypatch.setattr(sweeps, "odd_lift", even_lift)
     report, _ = run_verification(3)
     assert report.failures == [("representative-independence", 3, 1, None, 0, 0)]
 

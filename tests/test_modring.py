@@ -1,14 +1,11 @@
 import pytest
 
+from lensframe.framing import odd_lift, odd_lifts
 from lensframe.modring import (
     Modulus,
-    Residue,
     inverse,
     is_prime,
     is_square_unit,
-    mod_inverse,
-    normalize,
-    odd_representative,
     prime_factors,
     require_odd,
     square_signature,
@@ -35,38 +32,25 @@ def sieve(limit):
     return flags
 
 
-def test_normalize_examples():
-    assert normalize(7, 5) == Residue(2, Modulus(5))
-    assert normalize(-1, 5).value == 4
-    assert normalize(0, 9).value == 0
-
-
-def test_normalize_rejects_bad_modulus():
-    with pytest.raises(ValueError, match="modulus"):
-        normalize(3, 1)
-    with pytest.raises(ValueError, match="modulus"):
-        Modulus(0)
-
-
-def test_residue_range_enforced():
-    with pytest.raises(ValueError):
-        Residue(5, Modulus(5))
-    with pytest.raises(ValueError):
-        Residue(-1, Modulus(5))
+def test_modulus_rejects_bad_modulus():
+    for m in (-2, 0, 1):
+        with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {m}$"):
+            Modulus(m)
+    assert Modulus(2).m == 2
 
 
 def test_mod_inverse_examples():
-    assert mod_inverse(normalize(2, 5)).value == 3
-    assert mod_inverse(normalize(1, 7)).value == 1
+    assert inverse(2, 5) == 3
+    assert inverse(1, 7) == 1
     assert brute_inverse(3, 7) == 5
-    assert mod_inverse(normalize(3, 7)).value == 5
+    assert inverse(3, 7) == 5
 
 
 def test_mod_inverse_rejects_non_units():
     with pytest.raises(ValueError, match="not a unit"):
-        mod_inverse(normalize(6, 9))
+        inverse(6, 9)
     with pytest.raises(ValueError, match="not a unit"):
-        mod_inverse(normalize(0, 7))
+        inverse(0, 7)
 
 
 def test_inverse_takes_any_representative():
@@ -87,56 +71,61 @@ def test_require_odd():
 def test_mod_inverse_matches_brute_force_scan():
     for m in range(2, 60):
         for v in units(m):
-            assert mod_inverse(normalize(v, m)).value == brute_inverse(v, m)
+            assert inverse(v, m) == brute_inverse(v, m)
 
 
 def test_mod_inverse_involution_and_product():
     for m in (5, 9, 15, 49, 121):
         for v in units(m):
-            r = normalize(v, m)
-            s = mod_inverse(r)
-            assert mod_inverse(s) == r
-            assert r.value * s.value % m == 1
+            s = inverse(v, m)
+            assert 0 <= s < m
+            assert inverse(s, m) == v
+            assert v * s % m == 1
 
 
 def test_odd_representative_examples():
-    assert odd_representative(normalize(3, 7)) == 3
-    assert odd_representative(normalize(2, 5)) == 7
-    assert odd_representative(normalize(4, 5)) == 9
+    assert odd_lift(3, 7) == 3
+    assert odd_lift(2, 5) == 7
+    assert odd_lift(4, 5) == 9
+    assert odd_lifts(5, 2) == (7, 3)
 
 
 def test_odd_representative_requires_odd_modulus():
-    with pytest.raises(ValueError, match="odd modulus"):
-        odd_representative(normalize(1, 4))
+    # odd_lift itself trusts its caller; odd_lifts, which checks, is the entry point.
+    with pytest.raises(ValueError, match="^p must be odd and >= 3, got 4$"):
+        odd_lifts(4, 1)
 
 
 def test_odd_representative_properties():
     for m in range(3, 200, 2):
         for v in range(m):
-            rep = odd_representative(normalize(v, m))
+            rep = odd_lift(v, m)
             assert rep % 2 == 1
             assert rep % m == v
             assert 0 <= rep < 2 * m
 
 
 def test_is_square_unit_examples():
-    assert is_square_unit(normalize(4, 5))
+    assert is_square_unit(4, 5)
     # squares mod 7 are {1, 2, 4}: 3^2 = 9 = 2
-    assert is_square_unit(normalize(2, 7))
+    assert is_square_unit(2, 7)
     # squares mod 5 are {1, 4}
-    assert not is_square_unit(normalize(2, 5))
+    assert not is_square_unit(2, 5)
+    # any representative: -1 = 4 (mod 5), 16 = 2 (mod 7)
+    assert is_square_unit(-1, 5)
+    assert is_square_unit(16, 7)
 
 
 def test_is_square_unit_rejects_non_units():
-    with pytest.raises(ValueError, match="not a unit"):
-        is_square_unit(normalize(3, 9))
+    with pytest.raises(ValueError, match="^3 is not a unit mod 9$"):
+        is_square_unit(3, 9)
 
 
 def test_euler_criterion_agrees_on_primes():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101):
         for v in range(1, p):
             euler = pow(v, (p - 1) // 2, p) == 1
-            assert is_square_unit(normalize(v, p)) == euler
+            assert is_square_unit(v, p) == euler
 
 
 def test_square_detection_multiplicative_on_primes():
@@ -144,8 +133,8 @@ def test_square_detection_multiplicative_on_primes():
     for p in (5, 7, 11, 13):
         for a in range(1, p):
             for b in range(1, p):
-                lhs = is_square_unit(normalize(a * b, p))
-                rhs = is_square_unit(normalize(a, p)) == is_square_unit(normalize(b, p))
+                lhs = is_square_unit(a * b, p)
+                rhs = is_square_unit(a, p) == is_square_unit(b, p)
                 assert lhs == rhs
 
 
@@ -155,7 +144,7 @@ def test_square_detection_matches_enumeration():
     for m in range(2, 256):
         squares = square_units(m)
         for v in units(m):
-            assert is_square_unit(normalize(v, m)) == (v in squares)
+            assert is_square_unit(v, m) == (v in squares)
 
 
 def test_square_signature_classes_are_cosets_of_the_squares():

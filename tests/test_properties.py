@@ -42,7 +42,7 @@ def test_any_odd_lifts_give_the_invariant(unit, j, k):
     lifted = (a + 2 * j * p - 1) * (b + 2 * k * p - 1)
     assert lifted % 4 == 0
     assert lifted // 4 % p == framing_value(p, q)
-    assert sweeps.first_bad_lift(p, q, 2) is None
+    assert sweeps.first_bad_lift(p, q, inverse(q, p), 2) is None
 
 
 @PROPERTY_SETTINGS

@@ -2,9 +2,23 @@ import pytest
 
 from lensframe import sweeps
 from lensframe.framing import LensSpace, framing_invariant, framing_invariant_residue
-from lensframe.modring import units
+from lensframe.modring import TABLE_CACHE_SIZE, inverse, units
 
 SAMPLE_P = [3, 5, 7, 9, 15, 21, 45, 99, 121, 499, 997]
+
+
+def test_unit_group_matches_units_and_inverse():
+    for p in range(3, 1000, 2):
+        group, inverses = sweeps.unit_group(p)
+        assert group == units(p)
+        assert len(inverses) == p
+        unit_set = set(group)
+        for q in range(p):
+            assert inverses[q] == (inverse(q, p) if q in unit_set else 0)
+
+
+def test_unit_group_cache_is_bounded():
+    assert sweeps.unit_group.cache_info().maxsize == TABLE_CACHE_SIZE
 
 
 def test_invariant_table_matches_scalar_route():
@@ -33,7 +47,7 @@ def test_lift_sweeps_come_back_clean():
 
 
 def test_kernels_reject_bad_p():
-    for fn in (sweeps.invariant_table, sweeps.residue_table):
+    for fn in (sweeps.unit_group, sweeps.invariant_table, sweeps.residue_table):
         with pytest.raises(ValueError):
             fn(8)
         with pytest.raises(ValueError):
