@@ -7,7 +7,6 @@ spherical quotients.
 """
 
 from .classify import (
-    FiberPartition,
     RelationKind,
     collision_scan,
     invariant_fibers,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "FiberPartition",
     "FramingClass",
     "LensSpace",
     "Modulus",

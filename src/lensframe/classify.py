@@ -8,13 +8,11 @@ what actually happens, and no general claim is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Mapping
 
 from . import sweeps
 from .framing import framing_value
-from .modring import Modulus, inverse, is_prime, require_odd, square_signature, units
+from .modring import inverse, is_prime, require_odd, square_signature, units
 
 
 @unique
@@ -26,14 +24,6 @@ class RelationKind(Enum):
     ORIENTED_HOMOTOPY = "oriented-homotopy"
     HOMOTOPY = "homotopy"
     FRAMING_EQUAL = "framing-equal"
-
-
-@dataclass(frozen=True)
-class FiberPartition:
-    """Units of Z/p grouped by their framing value."""
-
-    p: Modulus
-    fibers: Mapping[int, frozenset[int]]
 
 
 def related(kind: RelationKind, p: int, q: int, q2: int) -> bool:
@@ -79,14 +69,14 @@ def quadratic_roots(p: int, c: int) -> set[int]:
     return {q2 for q2 in range(1, p) if table[q2] == c}
 
 
-def invariant_fibers(p: int) -> FiberPartition:
-    """Partition the units of Z/p (p odd) by framing value."""
+def invariant_fibers(p: int) -> dict[int, frozenset[int]]:
+    """The units of Z/p (p odd) grouped by framing value: value -> its fiber."""
     require_odd(p)
     table = sweeps.invariant_table(p)
     grouped: dict[int, set[int]] = {}
     for q in units(p):
         grouped.setdefault(table[q], set()).add(q)
-    return FiberPartition(Modulus(p), {v: frozenset(s) for v, s in grouped.items()})
+    return {v: frozenset(s) for v, s in grouped.items()}
 
 
 def verify_prime_classification(p: int) -> bool:
@@ -97,7 +87,7 @@ def verify_prime_classification(p: int) -> bool:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    fibers = invariant_fibers(p).fibers
+    fibers = invariant_fibers(p)
     table = sweeps.invariant_table(p)
     _, inverses = sweeps.unit_group(p)
     for q in range(1, p):
@@ -120,7 +110,7 @@ def collision_scan(p: int) -> list[tuple[int, int]]:
         )
     _, inverses = sweeps.unit_group(p)
     pairs: list[tuple[int, int]] = []
-    for fiber in invariant_fibers(p).fibers.values():
+    for fiber in invariant_fibers(p).values():
         members = sorted(fiber)
         for i, q in enumerate(members):
             inv_q = inverses[q]

@@ -16,9 +16,11 @@ import os
 import stat
 import sys
 import time
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from . import classify, sweeps
 from .connectsum import SumOfLens, find_exotic_pairs
@@ -111,13 +113,17 @@ def _table_block(p: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, list[tuple[int, int]]]]:
-    """Sweep all odd p <= max_p; composite-order collisions are informational."""
+def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, array]]:
+    """Sweep all odd p <= max_p; composite-order collisions are informational.
+
+    Each composite p's collision pairs (q, q2) are kept flat, as q, q2, q, q2, ...
+    in one array of unsigned ints: 8 bytes a pair.
+    """
     if max_p < 3:
         raise ValueError(f"max_p must be >= 3, got {max_p}")
     start = time.perf_counter()
     report = VerificationReport()
-    collisions: dict[int, list[tuple[int, int]]] = {}
+    collisions: dict[int, array] = {}
     for p in range(3, max_p + 1, 2):
         table = sweeps.invariant_table(p)
         unit_values, inverses = sweeps.unit_group(p)
@@ -148,7 +154,7 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, list[tup
             report.checks_run += len(unit_values)
             found = classify.collision_scan(p)
             if found:
-                collisions[p] = found
+                collisions[p] = array("I", chain.from_iterable(found))
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report, collisions
 
@@ -182,10 +188,12 @@ def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: OutputFormat) ->
 
 
 def _render_verify(
-    report: VerificationReport, collisions: dict[int, list[tuple[int, int]]], fmt: OutputFormat
-) -> str:
+    report: VerificationReport, collisions: dict[int, array], fmt: OutputFormat
+) -> Iterator[str]:
+    """The report as text chunks: the summary and failures, then one chunk per composite p."""
     if fmt is OutputFormat.JSON:
-        return json.dumps(
+        # json.dumps of the whole report, with its last field written one p at a time.
+        head = json.dumps(
             {
                 "checks_run": report.checks_run,
                 "failures": [
@@ -193,23 +201,34 @@ def _render_verify(
                     for c, p, q, q2, e, a in report.failures
                 ],
                 "elapsed_ms": report.elapsed_ms,
-                "composite_collisions": {str(p): [list(t) for t in v] for p, v in collisions.items()},
             }
         )
+        yield head[:-1] + ', "composite_collisions": '
+        separator = "{"
+        for p, flat in collisions.items():
+            yield f'{separator}"{p}": [' + _pairs_text("[%d, %d]", ", ", flat) + "]"
+            separator = ", "
+        yield "{}}" if separator == "{" else "}}"
+        return
     if fmt is OutputFormat.CSV:
         header = ("checks_run", "failures", "elapsed_ms")
-        return _csv_text(header, [(report.checks_run, len(report.failures), f"{report.elapsed_ms:.1f}")])
+        yield _csv_text(header, [(report.checks_run, len(report.failures), f"{report.elapsed_ms:.1f}")])
+        return
     lines = [
         f"{report.checks_run} checks in {report.elapsed_ms:.1f} ms, "
         f"{len(report.failures)} failure(s)"
     ]
     for c, p, q, q2, expected, actual in report.failures:
         lines.append(f"FAIL {c}: p={p} q={q} q2={q2} expected={expected} actual={actual}")
-    for p in sorted(collisions):
-        rendered = " ".join(f"({a},{b})" for a, b in collisions[p])
-        lines.append(f"note: composite p={p} collisions: {rendered}")
-    lines.append("FAIL" if report.failures else "PASS")
-    return "\n".join(lines)
+    yield "\n".join(lines)
+    for p, flat in collisions.items():
+        yield f"\nnote: composite p={p} collisions: " + _pairs_text("(%d,%d)", " ", flat)
+    yield "\nFAIL" if report.failures else "\nPASS"
+
+
+def _pairs_text(pair: str, separator: str, flat: array) -> str:
+    """The pairs of flat (q, q2, q, q2, ...), each formatted by pair, joined by separator."""
+    return separator.join([pair] * (len(flat) // 2)) % tuple(flat)
 
 
 def _render_search(pairs: list[tuple[SumOfLens, SumOfLens]], fmt: OutputFormat) -> Iterator[str]:
@@ -265,7 +284,7 @@ def _render_obstruct(payload: dict, fmt: OutputFormat) -> str:
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
-    """The output (one string, or the lazy chunks of table and search) and the exit code."""
+    """The output (one string, or the lazy chunks of table, verify and search) and the exit code."""
     fmt = OutputFormat(args.format)
     if args.command == "invariant":
         return _render_invariant(invariant_payload(args.p, args.q, args.normalized), fmt), 0

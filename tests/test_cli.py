@@ -6,13 +6,17 @@ import re
 import stat
 import sys
 import threading
+import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from lensframe import sweeps
+from lensframe import cli, sweeps
+from lensframe.classify import collision_scan
 from lensframe.cli import main, run_verification
 from lensframe.framing import LensSpace, framing_invariant
+from lensframe.modring import is_prime
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -103,16 +107,17 @@ def test_table_matches_golden_output(tmp_path, capsys, p_min, p_max, fmt):
     assert_golden_output(tmp_path, capsys, ["table", str(p_min), str(p_max)], fmt)
 
 
-def assert_golden_output(tmp_path, capsys, args, fmt, mask=bytes):
-    # stdout and an --out file both equal the golden copy, byte for byte once
-    # mask has rewritten what may differ between runs in both.
-    golden = mask((GOLDEN / f"{'_'.join(args)}.{fmt}").read_bytes())
+def assert_golden_output(tmp_path, capsys, args, fmt, mask=bytes, name=None, code=0):
+    # stdout and an --out file both equal the golden copy (name, by default the
+    # args joined by "_"), byte for byte once mask has rewritten what may differ
+    # between runs in both; both runs exit with code.
+    golden = mask((GOLDEN / f"{name or '_'.join(args)}.{fmt}").read_bytes())
     argv = args + ["--format", fmt]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    exit_code, out, _ = run_cli(capsys, *argv)
+    assert exit_code == code
     assert mask(out.encode()) == golden
     target = tmp_path / f"out.{fmt}"
-    assert main(argv + ["--out", str(target)]) == 0
+    assert main(argv + ["--out", str(target)]) == code
     assert mask(target.read_bytes()) == golden
 
 
@@ -136,9 +141,7 @@ _ELAPSED = {
 }
 
 
-@pytest.mark.parametrize("max_p", [15, 45])
-@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-def test_verify_matches_golden_output(tmp_path, capsys, max_p, fmt):
+def _mask_elapsed(fmt):
     pattern, replacement = _ELAPSED[fmt]
 
     def mask(text):
@@ -146,7 +149,35 @@ def test_verify_matches_golden_output(tmp_path, capsys, max_p, fmt):
         assert count == 1
         return masked
 
-    assert_golden_output(tmp_path, capsys, ["verify", str(max_p)], fmt, mask)
+    return mask
+
+
+@pytest.mark.parametrize("max_p", [15, 45])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_verify_matches_golden_output(tmp_path, capsys, max_p, fmt):
+    assert_golden_output(tmp_path, capsys, ["verify", str(max_p)], fmt, _mask_elapsed(fmt))
+
+
+def _even_lift(v, p):
+    return v if v % 2 == 0 else v + p
+
+
+@pytest.fixture
+def even_lifts(monkeypatch):
+    # Sweeps with even lifts in place of odd ones; the tables they fill are
+    # dropped before and after, so no other test sees them.
+    monkeypatch.setattr(sweeps, "odd_lift", _even_lift)
+    sweeps.invariant_table.cache_clear()
+    yield
+    sweeps.invariant_table.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_failed_verify_matches_golden_output(tmp_path, capsys, even_lifts, fmt):
+    # With even lifts at p = 3 the lift sweep and antisymmetry both fail.
+    assert_golden_output(
+        tmp_path, capsys, ["verify", "3"], fmt, _mask_elapsed(fmt), name="verify_3_fail", code=2
+    )
 
 
 @pytest.mark.parametrize("argv", [["search", "2"], ["search", "7", "3"]])
@@ -154,6 +185,14 @@ def test_search_bad_input_writes_no_file(tmp_path, capsys, argv):
     target = tmp_path / "search.txt"
     assert main(argv + ["--out", str(target)]) == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("max_p", ["2", "1"])
+def test_verify_bad_input_writes_no_file(tmp_path, capsys, max_p):
+    target = tmp_path / "verify.txt"
+    assert main(["verify", max_p, "--out", str(target)]) == 1
+    assert not target.exists()
+    assert os.listdir(tmp_path) == []
 
 
 class _Interrupted(Exception):
@@ -256,14 +295,37 @@ def test_verification_report_counts():
     assert collisions == {}
 
 
+class _NullSink:
+    def write(self, text):
+        pass
+
+
+def test_verification_memory_stays_small():
+    # The 16,228 collision pairs below 400 are kept flat, 8 bytes a pair, and
+    # each report is written one composite p at a time: run and render together
+    # stay under 1 MB (tuples in lists and a one-string report peaked at 5.1 MB).
+    tracemalloc.start()
+    try:
+        report, collisions = run_verification(399)
+        for fmt in (cli.OutputFormat.PLAIN, cli.OutputFormat.JSON):
+            cli._write(cli._render_verify(report, collisions, fmt), _NullSink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+    assert report.failures == []
+    composites = [p for p in range(9, 400, 2) if not is_prime(p)]
+    assert list(collisions) == [p for p in composites if collision_scan(p)]
+    for p, flat in collisions.items():
+        assert flat.typecode == "I" and flat.itemsize == 4
+        assert flat.tolist() == list(chain.from_iterable(collision_scan(p)))
+
+
 def test_verification_records_a_lift_failure(monkeypatch):
     sweeps.invariant_table(3)  # cached with the true odd lifts before the patch
 
-    def even_lift(v, p):
-        return v if v % 2 == 0 else v + p
-
     # With even lifts the value depends on the shift: 3*3//4 = 2 but 3*9//4 = 0 (mod 3).
-    monkeypatch.setattr(sweeps, "odd_lift", even_lift)
+    monkeypatch.setattr(sweeps, "odd_lift", _even_lift)
     report, _ = run_verification(3)
     assert report.failures == [("representative-independence", 3, 1, None, 0, 0)]
 
