@@ -11,8 +11,8 @@ from __future__ import annotations
 from enum import Enum, unique
 
 from . import sweeps
-from .framing import framing_value
-from .modring import inverse, is_prime, require_odd, square_signature, units
+from .framing import _framing_from_inverse
+from .modring import inverse, is_odd_part_square, is_prime, require_odd, units
 
 
 @unique
@@ -26,30 +26,44 @@ class RelationKind(Enum):
     FRAMING_EQUAL = "framing-equal"
 
 
+# The members as plain globals: related() tests kind against them on every
+# call, and reading RelationKind.X costs several times a global lookup.
+_ORIENTED_HOMEO, _HOMEO, _ORIENTED_HOMOTOPY, _HOMOTOPY, _FRAMING_EQUAL = RelationKind
+
+
+def homeo_orbit(p: int, q: int, q_inv: int, oriented: bool) -> tuple[int, ...]:
+    """The residues identified with the unit q in [1, p) by (oriented) homeomorphism.
+
+    q_inv is the inverse of q.  The oriented orbit is (q, q^-1); allowing
+    mirror images adds (-q, -q^-1).  The tuple may repeat a residue.
+    """
+    if oriented:
+        return q, q_inv
+    return q, q_inv, p - q, p - q_inv
+
+
 def related(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     """Whether L(p, q) and L(p, q2) are identified under the given relation.
 
-    Oriented homeomorphism means q2 in {q, q^-1}; allowing mirror images adds
-    {-q, -q^-1}.  Oriented homotopy equivalence means q2/q is a square unit
-    (by square_signature), and the unoriented version allows a sign.
-    FRAMING_EQUAL simply compares framing values (p odd throughout).  Each
+    Homeomorphism means q2 lies in homeo_orbit of q.  Oriented homotopy
+    equivalence means q2/q is a square unit (by is_odd_part_square), and the
+    unoriented version allows a sign.  FRAMING_EQUAL compares framing values,
+    built from the two inverses already at hand (p odd throughout).  Each
     answer takes a few pow calls; no per-modulus table is built.
     """
     require_odd(p)
     inv_q = inverse(q, p)
-    inverse(q2, p)  # rejects a non-unit q2 as it rejects q
+    inv_q2 = inverse(q2, p)
     q, q2 = q % p, q2 % p
-    if kind is RelationKind.FRAMING_EQUAL:
-        return framing_value(p, q) == framing_value(p, q2)
-    if kind is RelationKind.ORIENTED_HOMEO:
-        return q2 == q or q2 == inv_q
-    if kind is RelationKind.HOMEO:
-        return q2 in (q, inv_q, p - q, p - inv_q)
+    if kind is _FRAMING_EQUAL:
+        return _framing_from_inverse(p, q, inv_q) == _framing_from_inverse(p, q2, inv_q2)
+    if kind is _ORIENTED_HOMEO or kind is _HOMEO:
+        return q2 in homeo_orbit(p, q, inv_q, kind is _ORIENTED_HOMEO)
     ratio = q2 * inv_q % p
-    if kind is RelationKind.ORIENTED_HOMOTOPY:
-        return all(square_signature(ratio, p))
-    if kind is RelationKind.HOMOTOPY:
-        return all(square_signature(ratio, p)) or all(square_signature(p - ratio, p))
+    if kind is _ORIENTED_HOMOTOPY:
+        return is_odd_part_square(ratio, p)
+    if kind is _HOMOTOPY:
+        return is_odd_part_square(ratio, p) or is_odd_part_square(p - ratio, p)
     raise ValueError(f"unknown relation kind {kind!r}")
 
 

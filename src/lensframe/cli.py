@@ -2,7 +2,7 @@
 
 Subcommands: invariant, table, verify, search, obstruct.  Every subcommand
 accepts --format {plain,csv,json} and --out FILE.  Exit codes: 0 success,
-1 usage or input error, 2 verification failure.
+1 usage or input error or an interrupt (Ctrl-C), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ MAX_SHIFT = 5
 
 # search writes its pairs in chunks of this many lines.
 SEARCH_BLOCK = 4096
+
+# verify keeps collision residues in array("I"), so max_p must stay below this.
+VERIFY_P_LIMIT = 1 << 8 * array("I").itemsize
 
 
 class OutputFormat(Enum):
@@ -121,6 +124,8 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, array]]:
     """
     if max_p < 3:
         raise ValueError(f"max_p must be >= 3, got {max_p}")
+    if max_p >= VERIFY_P_LIMIT:
+        raise ValueError(f"max_p must be < {VERIFY_P_LIMIT}, got {max_p}")
     start = time.perf_counter()
     report = VerificationReport()
     collisions: dict[int, array] = {}
@@ -423,6 +428,15 @@ def _replacement_for(path: str) -> tuple[int, str, int | None] | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except KeyboardInterrupt:
+        # An interrupted --out run has already left FILE as it was.
+        print("error: interrupted", file=sys.stderr)
+        return 1
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,18 +13,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .classify import RelationKind
+from .classify import _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, homeo_orbit
 from .framing import LensSpace
 from .modring import inverse, is_prime, square_signature, units
 
-_GEOMETRIC_KINDS = (
-    RelationKind.ORIENTED_HOMEO,
-    RelationKind.HOMEO,
-    RelationKind.ORIENTED_HOMOTOPY,
-    RelationKind.HOMOTOPY,
-)
+_GEOMETRIC_KINDS = (_ORIENTED_HOMEO, _HOMEO, _ORIENTED_HOMOTOPY, _HOMOTOPY)
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class SumOfLens:
     summands: tuple[LensSpace, ...] = ()
 
     def __post_init__(self) -> None:
-        spaces = tuple(sorted(self.summands, key=lambda s: (s.p, s.q)))
+        spaces = tuple(sorted(self.summands, key=attrgetter("p", "q")))
         for space in spaces:
             _require_odd_order(space)
         object.__setattr__(self, "summands", spaces)
@@ -50,19 +45,11 @@ def _require_odd_order(space: LensSpace) -> None:
         raise ValueError(f"summand {space} has even order")
 
 
-def _orbit(p: int, q: int, kind: RelationKind) -> set[int]:
-    # All unit residues identified with q under a homeomorphism kind.
-    inv_q = inverse(q, p)
-    if kind is RelationKind.ORIENTED_HOMEO:
-        return {q, inv_q}
-    return {q, inv_q, p - q, p - inv_q}
-
-
 @lru_cache(maxsize=4096)
-def _least_with_signature(p: int, targets: frozenset[tuple[bool, ...]]) -> int:
-    # The least unit whose square_signature lies in targets: the least member
-    # of a homotopy orbit, which is a union of cosets of the unit squares.
-    return next(u for u in range(1, p) if math.gcd(u, p) == 1 and square_signature(u, p) in targets)
+def _least_with_signature(p: int, signature: tuple[bool, ...]) -> int:
+    # The least unit with this square_signature: the least member of a coset
+    # of the unit squares, i.e. of an oriented homotopy orbit.
+    return next(u for u in range(1, p) if math.gcd(u, p) == 1 and square_signature(u, p) == signature)
 
 
 def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
@@ -71,10 +58,13 @@ def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
         raise ValueError(f"{kind.value} does not induce summand matching on sums")
     _require_odd_order(space)
     p, q = space.p, space.q
-    if kind is RelationKind.ORIENTED_HOMEO or kind is RelationKind.HOMEO:
-        return p, min(_orbit(p, q, kind))
-    reps = (q, p - q) if kind is RelationKind.HOMOTOPY else (q,)
-    return p, _least_with_signature(p, frozenset(square_signature(v, p) for v in reps))
+    if kind is _ORIENTED_HOMEO or kind is _HOMEO:
+        return p, min(homeo_orbit(p, q, inverse(q, p), kind is _ORIENTED_HOMEO))
+    least = _least_with_signature(p, square_signature(q, p))
+    if kind is _HOMOTOPY:
+        # The homotopy orbit is the union of the cosets of q and -q.
+        least = min(least, _least_with_signature(p, square_signature(p - q, p)))
+    return p, least
 
 
 def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
@@ -84,8 +74,8 @@ def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
     (prime decompositions are unique); for the homotopy kinds a match is a
     sufficient certificate, and a failed match only means no certificate.
     """
-    keys_a = sorted(canonical_key(s, kind) for s in a.summands)
-    keys_b = sorted(canonical_key(s, kind) for s in b.summands)
+    keys_a = sorted([canonical_key(s, kind) for s in a.summands])
+    keys_b = sorted([canonical_key(s, kind) for s in b.summands])
     return keys_a == keys_b
 
 
@@ -117,8 +107,9 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, Su
     if num_summands not in (1, 2):
         raise ValueError(f"num_summands must be 1 or 2, got {num_summands}")
     primes = [p for p in range(3, max_p + 1, 2) if is_prime(p)]
+    # units(p) is increasing, so each orbit's least member comes out in order.
     reps = {
-        p: sorted({min(_orbit(p, q, RelationKind.ORIENTED_HOMEO)) for q in units(p)})
+        p: [q for q in units(p) if q == min(homeo_orbit(p, q, inverse(q, p), True))]
         for p in primes
     }
     homotopy_key = {

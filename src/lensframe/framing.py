@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .modring import Modulus, inverse, require_odd
+
+# Each framing class carries a Modulus; point queries at the same p share one.
+MODULUS_CACHE_SIZE = 4096
+_modulus = lru_cache(maxsize=MODULUS_CACHE_SIZE)(Modulus)
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,13 @@ def odd_lifts(p: int, q: int) -> tuple[int, int]:
 
 def framing_value(p: int, q: int) -> int:
     """F(L(p, q)) as a plain int, for odd p and a unit q in [1, p)."""
-    a, b = odd_lifts(p, q)
-    return (a - 1) * (b - 1) // 4 % p
+    require_odd(p)
+    return _framing_from_inverse(p, q, inverse(q, p))
+
+
+def _framing_from_inverse(p: int, q: int, q_inv: int) -> int:
+    # F(L(p, q)) from q in [1, p) and its inverse, for callers that already hold both.
+    return (odd_lift(q, p) - 1) * (odd_lift(q_inv, p) - 1) // 4 % p
 
 
 def framing_invariant(space: LensSpace) -> FramingClass:
@@ -121,7 +131,7 @@ def framing_invariant(space: LensSpace) -> FramingClass:
     divisible by 4 over the integers before any reduction; the resulting
     residue is independent of which odd lifts are taken.
     """
-    return FramingClass(framing_value(space.p, space.q), Modulus(space.p))
+    return FramingClass(framing_value(space.p, space.q), _modulus(space.p))
 
 
 def framing_invariant_residue(space: LensSpace) -> FramingClass:
@@ -132,7 +142,7 @@ def framing_invariant_residue(space: LensSpace) -> FramingClass:
     """
     p, q = space.p, space.q
     require_odd(p)
-    return FramingClass((2 - q - inverse(q, p)) * ((p + 1) // 2) ** 2 % p, Modulus(p))
+    return FramingClass((2 - q - inverse(q, p)) * ((p + 1) // 2) ** 2 % p, _modulus(p))
 
 
 def normalized_framing_invariant(space: LensSpace) -> FramingClass:
@@ -141,8 +151,8 @@ def normalized_framing_invariant(space: LensSpace) -> FramingClass:
     Declares the left-invariant framing to be -1/2 instead of 0, realised
     inside Z/p as subtraction of 2^-1 = (p+1)/2 (p odd makes 2 a unit).
     """
-    base = framing_invariant(space)
-    return FramingClass((base.value - (space.p + 1) // 2) % space.p, base.modulus)
+    p = space.p
+    return FramingClass((framing_value(p, space.q) - (p + 1) // 2) % p, _modulus(p))
 
 
 def equivariant_map_degree(space: LensSpace, k: int) -> int:

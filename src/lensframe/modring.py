@@ -67,19 +67,31 @@ def prime_factors(m: int) -> tuple[int, ...]:
 def square_signature(v: int, m: int) -> tuple[bool, ...]:
     """Quadratic character of the unit v at each odd prime factor of m, by Euler's criterion.
 
-    By Hensel's lemma, for odd m the unit v is a square exactly when every entry is True.
+    By Hensel's lemma, for odd m the unit v is a square exactly when every
+    entry is True; is_odd_part_square decides that without building the tuple.
     """
     return tuple(pow(v, (f - 1) // 2, f) == 1 for f in prime_factors(m) if f != 2)
+
+
+def is_odd_part_square(v: int, m: int) -> bool:
+    """Whether the unit v is a square mod the odd part of m: all of square_signature, early exit.
+
+    Euler's criterion at each odd prime factor, stopping at the first non-residue.
+    """
+    for f in prime_factors(m):
+        if f != 2 and pow(v, (f - 1) // 2, f) != 1:
+            return False
+    return True
 
 
 def is_square_unit(v: int, m: int) -> bool:
     """Whether some unit n satisfies n^2 = v in Z/m, decided without enumerating units.
 
-    square_signature decides the odd part of m; mod 2^e, squares are the units = 1 mod min(2^e, 8).
+    is_odd_part_square decides the odd part of m; mod 2^e, squares are the units = 1 mod min(2^e, 8).
     """
     if math.gcd(v, m) != 1:
         raise ValueError(f"{v} is not a unit mod {m}")
-    return (v - 1) % min(m & -m, 8) == 0 and all(square_signature(v, m))
+    return (v - 1) % min(m & -m, 8) == 0 and is_odd_part_square(v, m)
 
 
 def is_prime(n: int) -> bool:

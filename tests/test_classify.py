@@ -74,12 +74,14 @@ def test_point_queries_build_no_per_modulus_tables():
 
 
 def test_related_input_validation():
-    with pytest.raises(ValueError, match="not a unit"):
-        related(RK.HOMEO, 9, 3, 1)
-    with pytest.raises(ValueError, match="not a unit"):
-        related(RK.HOMEO, 9, 1, 6)
-    with pytest.raises(ValueError, match="odd"):
-        related(RK.HOMEO, 8, 1, 3)
+    # every kind, since FRAMING_EQUAL reads both inverses on its own path
+    for kind in RK:
+        with pytest.raises(ValueError, match=r"^3 is not a unit mod 9$"):
+            related(kind, 9, 3, 1)
+        with pytest.raises(ValueError, match=r"^6 is not a unit mod 9$"):
+            related(kind, 9, 1, 6)
+        with pytest.raises(ValueError, match=r"^p must be odd and >= 3, got 8$"):
+            related(kind, 8, 1, 3)
 
 
 def test_relations_are_equivalences():

@@ -3,9 +3,12 @@ import io
 import json
 import os
 import re
+import signal
 import stat
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import chain
 from pathlib import Path
@@ -193,6 +196,45 @@ def test_verify_bad_input_writes_no_file(tmp_path, capsys, max_p):
     assert main(["verify", max_p, "--out", str(target)]) == 1
     assert not target.exists()
     assert os.listdir(tmp_path) == []
+
+
+def test_verify_rejects_max_p_past_its_arrays(tmp_path, capsys, monkeypatch):
+    too_big = str(2**32)  # the collision arrays hold q as a 32-bit unsigned int
+
+    def no_sweep(p):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sweeps, "invariant_table", no_sweep)
+    code, out, err = run_cli(capsys, "verify", too_big)
+    assert (code, out) == (1, "")
+    assert err == f"error: max_p must be < {too_big}, got {too_big}\n"
+    target = tmp_path / "verify.txt"
+    assert main(["verify", too_big, "--out", str(target)]) == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_sigint_exits_1_and_keeps_the_old_file(tmp_path):
+    target = tmp_path / "verify.txt"
+    target.write_text("old contents\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # The child says when main is about to run, so the signal cannot land during start-up.
+    launch = "import sys; from lensframe.cli import main; print(flush=True); sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", launch, "verify", "99999", "--out", str(target)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert (out, err) == (b"", b"error: interrupted\n")
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["verify.txt"]
 
 
 class _Interrupted(Exception):

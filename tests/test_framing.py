@@ -1,5 +1,6 @@
 import pytest
 
+from lensframe import framing
 from lensframe.framing import (
     FramingClass,
     LensSpace,
@@ -80,6 +81,17 @@ def test_normalized_examples():
     assert normalized_framing_invariant(LensSpace(5, 1)).value == 2
     assert normalized_framing_invariant(LensSpace(5, 4)).value == 3
     assert normalized_framing_invariant(LensSpace(5, 2)).value == 0
+
+
+def test_classes_at_one_p_share_one_modulus():
+    classes = (
+        framing_invariant(LensSpace(7, 3)),
+        normalized_framing_invariant(LensSpace(7, 2)),
+        framing_invariant_residue(LensSpace(7, 5)),
+    )
+    assert all(cls.modulus is classes[0].modulus for cls in classes)
+    assert classes[0].modulus == Modulus(7)
+    assert framing._modulus.cache_info().maxsize == framing.MODULUS_CACHE_SIZE
 
 
 def test_normalized_antisymmetry():

@@ -4,6 +4,7 @@ from lensframe.framing import odd_lift, odd_lifts
 from lensframe.modring import (
     Modulus,
     inverse,
+    is_odd_part_square,
     is_prime,
     is_square_unit,
     prime_factors,
@@ -158,6 +159,13 @@ def test_square_signature_classes_are_cosets_of_the_squares():
         for members in classes.values():
             rep = min(members)
             assert members == {rep * s % m for s in squares}
+
+
+def test_odd_part_square_is_all_of_the_signature():
+    # the early-exit test against the full tuple, even m included
+    for m in range(2, 256):
+        for v in units(m):
+            assert is_odd_part_square(v, m) == all(square_signature(v, m))
 
 
 def test_prime_factors_match_sieve():
