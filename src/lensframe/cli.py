@@ -20,7 +20,7 @@ from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 
 from . import classify, sweeps
 from .connectsum import SumOfLens, find_exotic_pairs
@@ -236,32 +236,41 @@ def _pairs_text(pair: str, separator: str, flat: array) -> str:
     return separator.join([pair] * (len(flat) // 2)) % tuple(flat)
 
 
-def _render_search(pairs: list[tuple[SumOfLens, SumOfLens]], fmt: OutputFormat) -> Iterator[str]:
-    """The pairs as text chunks of SEARCH_BLOCK pairs; joined, they are the text of a whole render."""
+def _render_search(pairs: Iterable[tuple[SumOfLens, SumOfLens]], fmt: OutputFormat) -> Iterator[str]:
+    """The pairs as text chunks of SEARCH_BLOCK pairs; joined, they are the text of a whole render.
+
+    The pairs are taken SEARCH_BLOCK at a time, so a lazy iterable is generated as it is written.
+    """
     if fmt is OutputFormat.JSON:
         render, line = _sum_json, '{"first": %s, "second": %s}'
     elif fmt is OutputFormat.CSV:
         render, line = _sum_csv_field, "%s,%s\n"
     else:
         render, line = str, "%s ~h %s (not homeo)\n"
-    # Each distinct sum is rendered once, keyed by identity: the pair list keeps
-    # every sum alive meanwhile, and hashing a sum costs more than rendering it.
-    text = {id(total): total for pair in pairs for total in pair}
-    text = {key: render(total) for key, total in text.items()}
-    blocks = (
-        [line % (text[id(a)], text[id(b)]) for a, b in pairs[i : i + SEARCH_BLOCK]]
-        for i in range(0, len(pairs), SEARCH_BLOCK)
-    )
+
+    def blocks() -> Iterator[list[str]]:
+        # Each distinct sum is rendered once, the first time it appears, keyed
+        # by identity: hashing a sum costs more than rendering it.  An id stays
+        # the key of one sum only while that sum lives, so pairs must keep every
+        # sum alive until the render ends, as find_exotic_pairs' view does.
+        text: dict[int, str] = {}
+        stream = iter(pairs)
+        while block := list(islice(stream, SEARCH_BLOCK)):
+            for total in {id(t): t for pair in block for t in pair}.values():
+                if id(total) not in text:
+                    text[id(total)] = render(total)
+            yield [line % (text[id(a)], text[id(b)]) for a, b in block]
+
     if fmt is OutputFormat.JSON:
         separator = "["
-        for block in blocks:
+        for block in blocks():
             yield separator + ", ".join(block)
             separator = ", "
         yield "[]" if separator == "[" else "]"
         return
     if fmt is OutputFormat.CSV:
         yield "first,second\n"
-    for block in blocks:
+    for block in blocks():
         yield "".join(block)
 
 

@@ -10,10 +10,11 @@ not under oriented homeomorphism.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from operator import attrgetter, itemgetter
+from itertools import chain, combinations_with_replacement, islice, product, repeat
+from operator import attrgetter
 
 from .classify import _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, homeo_orbit
 from .framing import LensSpace
@@ -79,28 +80,52 @@ def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
     return keys_a == keys_b
 
 
-def _distinct_sums(p_values: tuple[int, ...], reps: dict[int, list[int]]) -> list[SumOfLens]:
-    # One sum per multiset of oriented-homeo classes over the given p-multiset.
+def _distinct_sums(p_values: tuple[int, ...], spaces: dict[int, list[LensSpace]]) -> list[SumOfLens]:
+    # One sum per multiset of oriented-homeo classes over the given p-multiset,
+    # in (p, q) order; the sums share their summands.
     if len(p_values) == 1:
-        return [SumOfLens((LensSpace(p_values[0], r),)) for r in reps[p_values[0]]]
+        return [SumOfLens((space,)) for space in spaces[p_values[0]]]
     p1, p2 = p_values
     if p1 == p2:
-        choices = combinations_with_replacement(reps[p1], 2)
-        return [SumOfLens((LensSpace(p1, r1), LensSpace(p2, r2))) for r1, r2 in choices]
-    return [
-        SumOfLens((LensSpace(p1, r1), LensSpace(p2, r2)))
-        for r1, r2 in product(reps[p1], reps[p2])
-    ]
+        return [SumOfLens(pair) for pair in combinations_with_replacement(spaces[p1], 2)]
+    return [SumOfLens(pair) for pair in product(spaces[p1], spaces[p2])]
 
 
-def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, SumOfLens]]:
+class ExoticPairs:
+    """The pairs found by find_exotic_pairs: a sized view that generates them on each pass.
+
+    Holds the sums and their homotopy groups, never the pairs: len() counts
+    the pairs without generating any, and every pass yields them in the
+    same order.  The view keeps every sum alive as long as it lives.
+    """
+
+    __slots__ = ("_heads",)
+
+    def __init__(self, heads: list[tuple[list[SumOfLens], int]]) -> None:
+        # Each head is (a homotopy group, the index of the pair's first sum in it).
+        self._heads = heads
+
+    def __len__(self) -> int:
+        return sum(len(group) - index - 1 for group, index in self._heads)
+
+    def __iter__(self) -> Iterator[tuple[SumOfLens, SumOfLens]]:
+        return chain.from_iterable(
+            zip(repeat(group[index]), islice(group, index + 1, None)) for group, index in self._heads
+        )
+
+
+def find_exotic_pairs(max_p: int, num_summands: int) -> ExoticPairs:
     """Pairs of sums of odd-prime lens spaces that are homotopy-matched but not homeomorphic.
 
     Enumerates sums with num_summands summands of odd prime order <= max_p,
     one representative per oriented-homeomorphism class, and returns every
     unordered pair matching under ORIENTED_HOMOTOPY while differing under
     ORIENTED_HOMEO.  Each pair is listed once, with its sums in (p, q) order,
-    and the list is sorted by the (p, q) tuples of the first sum, then of the second.
+    sorted by the (p, q) tuples of the first sum, then of the second.
+
+    The arguments are checked and the sums grouped at once; the pairs come
+    from the returned ExoticPairs, a sized view that generates them in that
+    order on each pass, so memory holds the sums but not the pairs.
     """
     if max_p < 3:
         raise ValueError(f"max_p must be >= 3, got {max_p}")
@@ -108,33 +133,34 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> list[tuple[SumOfLens, Su
         raise ValueError(f"num_summands must be 1 or 2, got {num_summands}")
     primes = [p for p in range(3, max_p + 1, 2) if is_prime(p)]
     # units(p) is increasing, so each orbit's least member comes out in order.
-    reps = {
-        p: [q for q in units(p) if q == min(homeo_orbit(p, q, inverse(q, p), True))]
+    spaces = {
+        p: [LensSpace(p, q) for q in units(p) if q == min(homeo_orbit(p, q, inverse(q, p), True))]
         for p in primes
     }
     homotopy_key = {
-        (p, r): canonical_key(LensSpace(p, r), RelationKind.ORIENTED_HOMOTOPY)
-        for p, p_reps in reps.items()
-        for r in p_reps
+        (s.p, s.q): canonical_key(s, RelationKind.ORIENTED_HOMOTOPY)
+        for p_spaces in spaces.values()
+        for s in p_spaces
     }
 
     # Both sums of a pair lie in one homotopy group, so walking all sums in
     # (p, q) order and pairing each with the later members of its group gives
     # the pairs in (first, second) order without sorting the pairs.
-    heads = []  # (the sum's (p, q) tuples, the sum, the later sums of its group)
+    heads = []
     for p_values in combinations_with_replacement(primes, num_summands):
         by_homotopy: dict[tuple[tuple[int, int], ...], list[SumOfLens]] = {}
-        for total in _distinct_sums(p_values, reps):
+        for total in _distinct_sums(p_values, spaces):
             key = tuple(sorted(homotopy_key[s.p, s.q] for s in total.summands))
             by_homotopy.setdefault(key, []).append(total)
         for group in by_homotopy.values():
-            ordered = sorted((_sum_key(t), t) for t in group)
-            later = [t for _, t in ordered]
-            heads.extend((order, t, later[i + 1 :]) for i, (order, t) in enumerate(ordered))
-    heads.sort(key=itemgetter(0))
-    return [(first, second) for _, first, rest in heads for second in rest]
+            # _distinct_sums lists each p-multiset's sums in (p, q) order, so
+            # every group is already in order; its last sum heads no pair.
+            heads.extend((group, i) for i in range(len(group) - 1))
+    heads.sort(key=_head_key)
+    return ExoticPairs(heads)
 
 
-def _sum_key(total: SumOfLens) -> tuple[tuple[int, int], ...]:
-    # Distinct sums have distinct keys, so tuples led by this key never compare sums.
-    return tuple((s.p, s.q) for s in total.summands)
+def _head_key(head: tuple[list[SumOfLens], int]) -> tuple[tuple[int, int], ...]:
+    # The (p, q) tuples of the head's sum: distinct sums have distinct keys.
+    group, index = head
+    return tuple((s.p, s.q) for s in group[index].summands)

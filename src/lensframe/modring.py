@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Per-modulus tables kept by units, square_units and the sweeps: sweeps go in
-# increasing p, so a few recent moduli cover every reuse and memory stays flat.
+# Per-modulus tables kept by units and the sweeps: sweeps go in increasing p,
+# so a few recent moduli cover every reuse and memory stays flat.
 TABLE_CACHE_SIZE = 8
 
 
@@ -44,12 +44,6 @@ def inverse(v: int, m: int) -> int:
 def units(m: int) -> tuple[int, ...]:
     """All unit residues of Z/m in increasing order."""
     return tuple(v for v in range(1, m) if math.gcd(v, m) == 1)
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def square_units(m: int) -> frozenset[int]:
-    """The squares inside the unit group of Z/m, by exhaustive enumeration (the test reference)."""
-    return frozenset(u * u % m for u in units(m))
 
 
 @lru_cache(maxsize=4096)

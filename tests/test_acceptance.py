@@ -27,7 +27,8 @@ from lensframe.framing import (
     normalized_framing_invariant,
     universally_tight_obstructed,
 )
-from lensframe.modring import Modulus, is_prime, square_units, units
+from lensframe.modring import Modulus, is_prime, units
+from reference import square_units
 
 ODD_TO_499 = range(3, 500, 2)
 

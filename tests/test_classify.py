@@ -11,7 +11,7 @@ from lensframe.classify import (
 )
 from lensframe.connectsum import canonical_key
 from lensframe.framing import LensSpace, framing_invariant
-from lensframe.modring import square_units, units
+from lensframe.modring import units
 
 RK = RelationKind
 
@@ -56,7 +56,7 @@ def test_framing_equal_matches_invariant():
 
 def test_point_queries_build_no_per_modulus_tables():
     p = 10**7 + 19  # a prime = 11 mod 12: -1 is a non-square and 3 a square
-    caches = (sweeps.unit_group, sweeps.invariant_table, units, square_units)
+    caches = (sweeps.unit_group, sweeps.invariant_table, units)
     before = [cache.cache_info() for cache in caches]
     half = (p + 1) // 2
     assert related(RK.ORIENTED_HOMEO, p, 2, half)

