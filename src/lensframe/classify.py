@@ -8,11 +8,11 @@ what actually happens, and no general claim is made.
 
 from __future__ import annotations
 
+import math
 from enum import Enum, unique
 
 from . import sweeps
-from .framing import _framing_from_inverse
-from .modring import inverse, is_odd_part_square, is_prime, require_odd, units
+from .modring import is_odd_part_square, is_odd_part_square_up_to_sign, is_prime, require_odd, units
 
 
 @unique
@@ -45,25 +45,26 @@ def homeo_orbit(p: int, q: int, q_inv: int, oriented: bool) -> tuple[int, ...]:
 def related(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     """Whether L(p, q) and L(p, q2) are identified under the given relation.
 
-    Homeomorphism means q2 lies in homeo_orbit of q.  Oriented homotopy
-    equivalence means q2/q is a square unit (by is_odd_part_square), and the
-    unoriented version allows a sign.  FRAMING_EQUAL compares framing values,
-    built from the two inverses already at hand (p odd throughout).  Each
-    answer takes a few pow calls; no per-modulus table is built.
+    Every kind tests the unit q * q2 (p odd), with no inverse or table and at
+    most one pow per prime factor of p: q2 = q or q * q2 = 1 is the oriented
+    homeo_orbit, mirrors add q2 = -q and q * q2 = -1; q2/q = q * q2 / q^2 is a
+    square (up to sign) when q * q2 is; framing values agree exactly when
+    (q - q2)(q * q2 - 1) = 0 mod p.
     """
     require_odd(p)
-    inv_q = inverse(q, p)
-    inv_q2 = inverse(q2, p)
-    q, q2 = q % p, q2 % p
+    product = q * q2 % p
+    if math.gcd(product, p) != 1:
+        raise ValueError(f"{q if math.gcd(q, p) != 1 else q2} is not a unit mod {p}")
     if kind is _FRAMING_EQUAL:
-        return _framing_from_inverse(p, q, inv_q) == _framing_from_inverse(p, q2, inv_q2)
-    if kind is _ORIENTED_HOMEO or kind is _HOMEO:
-        return q2 in homeo_orbit(p, q, inv_q, kind is _ORIENTED_HOMEO)
-    ratio = q2 * inv_q % p
+        return (q - q2) * (product - 1) % p == 0
+    if kind is _ORIENTED_HOMEO:
+        return (q - q2) % p == 0 or product == 1
+    if kind is _HOMEO:
+        return (q - q2) % p == 0 or (q + q2) % p == 0 or product == 1 or product == p - 1
     if kind is _ORIENTED_HOMOTOPY:
-        return is_odd_part_square(ratio, p)
+        return is_odd_part_square(product, p)
     if kind is _HOMOTOPY:
-        return is_odd_part_square(ratio, p) or is_odd_part_square(p - ratio, p)
+        return is_odd_part_square_up_to_sign(product, p)
     raise ValueError(f"unknown relation kind {kind!r}")
 
 

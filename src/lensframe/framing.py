@@ -116,12 +116,7 @@ def odd_lifts(p: int, q: int) -> tuple[int, int]:
 def framing_value(p: int, q: int) -> int:
     """F(L(p, q)) as a plain int, for odd p and a unit q in [1, p)."""
     require_odd(p)
-    return _framing_from_inverse(p, q, inverse(q, p))
-
-
-def _framing_from_inverse(p: int, q: int, q_inv: int) -> int:
-    # F(L(p, q)) from q in [1, p) and its inverse, for callers that already hold both.
-    return (odd_lift(q, p) - 1) * (odd_lift(q_inv, p) - 1) // 4 % p
+    return (odd_lift(q, p) - 1) * (odd_lift(inverse(q, p), p) - 1) // 4 % p
 
 
 def framing_invariant(space: LensSpace) -> FramingClass:

@@ -68,12 +68,21 @@ def square_signature(v: int, m: int) -> tuple[bool, ...]:
 
 
 def is_odd_part_square(v: int, m: int) -> bool:
-    """Whether the unit v is a square mod the odd part of m: all of square_signature, early exit.
-
-    Euler's criterion at each odd prime factor, stopping at the first non-residue.
-    """
+    """Whether the unit v is a square mod the odd part of m: all of square_signature, early exit."""
     for f in prime_factors(m):
         if f != 2 and pow(v, (f - 1) // 2, f) != 1:
+            return False
+    return True
+
+
+def is_odd_part_square_up_to_sign(v: int, m: int) -> bool:
+    """Whether v or -v is a square mod the odd part of m: chi_f(v) = 1 at every prime factor f,
+    or chi_f(v) = chi_f(-1) = (-1)^((f-1)/2) at every f, in one pass (f = 2 passes both)."""
+    plain = signed = True
+    for f in prime_factors(m):
+        euler = pow(v, (f - 1) // 2, f)
+        plain, signed = plain and euler == 1, signed and euler == (f - 1 if f & 2 else 1)
+        if not (plain or signed):
             return False
     return True
 

@@ -2,10 +2,38 @@
 
 from functools import cache
 
-from lensframe.modring import units
+from lensframe.classify import RelationKind, homeo_orbit
+from lensframe.framing import odd_lift
+from lensframe.modring import inverse, is_odd_part_square, require_odd, units
 
 
 @cache
 def square_units(m: int) -> frozenset[int]:
     """The squares inside the unit group of Z/m, by exhaustive enumeration."""
     return frozenset(u * u % m for u in units(m))
+
+
+def related_by_inverses(kind: RelationKind, p: int, q: int, q2: int) -> bool:
+    """The relations by the inverse route, the oracle for classify.related, which takes none.
+
+    Both inverses, membership in homeo_orbit, squares tested on the ratio q2/q,
+    and the framing values by their odd-lift formula.
+    """
+    require_odd(p)
+    inv_q = inverse(q, p)
+    inv_q2 = inverse(q2, p)
+    q, q2 = q % p, q2 % p
+    if kind is RelationKind.FRAMING_EQUAL:
+        return _framing(p, q, inv_q) == _framing(p, q2, inv_q2)
+    if kind in (RelationKind.ORIENTED_HOMEO, RelationKind.HOMEO):
+        return q2 in homeo_orbit(p, q, inv_q, kind is RelationKind.ORIENTED_HOMEO)
+    ratio = q2 * inv_q % p
+    if kind is RelationKind.ORIENTED_HOMOTOPY:
+        return is_odd_part_square(ratio, p)
+    if kind is RelationKind.HOMOTOPY:
+        return is_odd_part_square(ratio, p) or is_odd_part_square(p - ratio, p)
+    raise ValueError(f"unknown relation kind {kind!r}")
+
+
+def _framing(p: int, q: int, q_inv: int) -> int:
+    return (odd_lift(q, p) - 1) * (odd_lift(q_inv, p) - 1) // 4 % p

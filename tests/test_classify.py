@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensframe import sweeps
 from lensframe.classify import (
@@ -12,6 +16,7 @@ from lensframe.classify import (
 from lensframe.connectsum import canonical_key
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import units
+from reference import related_by_inverses
 
 RK = RelationKind
 
@@ -74,14 +79,44 @@ def test_point_queries_build_no_per_modulus_tables():
 
 
 def test_related_input_validation():
-    # every kind, since FRAMING_EQUAL reads both inverses on its own path
+    # every kind, as the inverse route reports it: the argument as passed, q before q2
     for kind in RK:
-        with pytest.raises(ValueError, match=r"^3 is not a unit mod 9$"):
-            related(kind, 9, 3, 1)
-        with pytest.raises(ValueError, match=r"^6 is not a unit mod 9$"):
-            related(kind, 9, 1, 6)
+        for q, q2, bad in ((3, 1, 3), (1, 6, 6), (-3, 1, -3), (1, 15, 15), (3, 6, 3), (0, 0, 0)):
+            for route in (related, related_by_inverses):
+                with pytest.raises(ValueError, match=rf"^{bad} is not a unit mod 9$"):
+                    route(kind, 9, q, q2)
         with pytest.raises(ValueError, match=r"^p must be odd and >= 3, got 8$"):
             related(kind, 8, 1, 3)
+
+
+# Odd p up to 10**6: any odd number, so composites too, or a prime power, or
+# a product of primes = 1 and = 3 mod 4, where the sign of HOMOTOPY matters.
+ODD_P_TO_MILLION = st.one_of(
+    st.integers(1, 499_999).map(lambda n: 2 * n + 1),
+    st.sampled_from([f**e for f in (3, 5, 7, 11, 13, 997) for e in range(1, 13) if f**e <= 10**6]),
+    st.sampled_from([15, 21, 65, 105, 1155, 3 * 5 * 7 * 11 * 13 * 17, 5 * 13 * 17 * 29, 3 * 7 * 11 * 19 * 23]),
+)
+
+
+@st.composite
+def relation_query(draw):
+    """(p, q, q2) with q, q2 unreduced: u + k*p for k in [-3, 3]; q2 is often in q's orbits."""
+    p = draw(ODD_P_TO_MILLION)
+    unit = st.integers(1, p - 1).filter(lambda u: math.gcd(u, p) == 1)
+    q = draw(unit)
+    s = draw(unit)
+    inv = pow(q, -1, p)
+    q2 = draw(st.one_of(unit, st.sampled_from([q, inv, p - q, p - inv, q * s * s % p, (p - q) * s * s % p])))
+    shift = st.integers(-3, 3).map(lambda k: k * p)
+    return p, q + draw(shift), q2 + draw(shift)
+
+
+@settings(max_examples=400, deadline=None)
+@given(relation_query())
+def test_related_matches_the_inverse_route(query):
+    p, q, q2 = query
+    for kind in RK:
+        assert related(kind, p, q, q2) == related_by_inverses(kind, p, q, q2)
 
 
 def test_relations_are_equivalences():

@@ -5,6 +5,7 @@ from lensframe.modring import (
     Modulus,
     inverse,
     is_odd_part_square,
+    is_odd_part_square_up_to_sign,
     is_prime,
     is_square_unit,
     prime_factors,
@@ -166,6 +167,16 @@ def test_odd_part_square_is_all_of_the_signature():
     for m in range(2, 256):
         for v in units(m):
             assert is_odd_part_square(v, m) == all(square_signature(v, m))
+
+
+def test_square_up_to_sign_matches_enumeration():
+    # every odd m <= 300, each unit also as v + k*m above m and below 0
+    for m in range(3, 301, 2):
+        squares = square_units(m)
+        for v in units(m):
+            expected = v in squares or m - v in squares
+            for k in (-2, -1, 0, 1, 2):
+                assert is_odd_part_square_up_to_sign(v + k * m, m) == expected
 
 
 def test_prime_factors_match_sieve():
