@@ -12,7 +12,14 @@ import math
 from enum import Enum, unique
 
 from . import sweeps
-from .modring import is_odd_part_square, is_odd_part_square_up_to_sign, is_prime, require_odd, units
+from .modring import (
+    is_odd_part_square,
+    is_odd_part_square_up_to_sign,
+    is_prime,
+    require_odd,
+    require_odd_prime,
+    units,
+)
 
 
 @unique
@@ -76,8 +83,7 @@ def quadratic_roots(p: int, c: int) -> set[int]:
     The same condition reads q2^2 - (2 - 4c) q2 + 1 = 0 over Z/p, a quadratic,
     hence the result has size 0, 1 or 2.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if not 0 <= c < p:
         raise ValueError(f"class value {c} out of range [0, {p})")
     table = sweeps.residue_table(p)
@@ -100,8 +106,7 @@ def verify_prime_classification(p: int) -> bool:
     Equivalent to: framing values agree exactly when the spaces are oriented
     homeomorphic.  Exhaustive over all units of the odd prime p.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     fibers = invariant_fibers(p)
     table = sweeps.invariant_table(p)
     _, inverses = sweeps.unit_group(p)

@@ -9,16 +9,14 @@ not under oriented homeomorphism.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, islice, product, repeat
 from operator import attrgetter
 
 from .classify import _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, homeo_orbit
 from .framing import LensSpace
-from .modring import inverse, is_prime, square_signature, units
+from .modring import inverse, is_odd_part_square, is_odd_part_square_up_to_sign, is_prime, units
 
 _GEOMETRIC_KINDS = (_ORIENTED_HOMEO, _HOMEO, _ORIENTED_HOMOTOPY, _HOMOTOPY)
 
@@ -46,13 +44,6 @@ def _require_odd_order(space: LensSpace) -> None:
         raise ValueError(f"summand {space} has even order")
 
 
-@lru_cache(maxsize=4096)
-def _least_with_signature(p: int, signature: tuple[bool, ...]) -> int:
-    # The least unit with this square_signature: the least member of a coset
-    # of the unit squares, i.e. of an oriented homotopy orbit.
-    return next(u for u in range(1, p) if math.gcd(u, p) == 1 and square_signature(u, p) == signature)
-
-
 def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
     """(p, least residue in the kind-orbit of q); at equal p, equal keys decide the relation."""
     if kind not in _GEOMETRIC_KINDS:
@@ -61,11 +52,10 @@ def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
     p, q = space.p, space.q
     if kind is _ORIENTED_HOMEO or kind is _HOMEO:
         return p, min(homeo_orbit(p, q, inverse(q, p), kind is _ORIENTED_HOMEO))
-    least = _least_with_signature(p, square_signature(q, p))
-    if kind is _HOMOTOPY:
-        # The homotopy orbit is the union of the cosets of q and -q.
-        least = min(least, _least_with_signature(p, square_signature(p - q, p)))
-    return p, least
+    # related()'s test: u is in q's orbit exactly when u * q = (u / q) * q^2 is a
+    # square (up to sign).  A non-unit u fails it at a prime factor it shares with p.
+    square = is_odd_part_square if kind is _ORIENTED_HOMOTOPY else is_odd_part_square_up_to_sign
+    return p, next(u for u in range(1, p) if square(u * q % p, p))
 
 
 def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:

@@ -10,9 +10,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Per-modulus tables kept by units and the sweeps: sweeps go in increasing p,
-# so a few recent moduli cover every reuse and memory stays flat.
-TABLE_CACHE_SIZE = 8
+# Per-modulus tables kept by units and the sweeps: sweeps go in increasing p
+# and reuse a p's tables only while that p is swept, so one modulus keeps
+# every hit and memory holds one p's tables.
+TABLE_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,12 @@ def require_odd(p: int) -> None:
     """Reject p unless it is odd and >= 3, the domain of the sweeps and relations."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be odd and >= 3, got {p}")
+
+
+def require_odd_prime(p: int) -> None:
+    """Reject p unless it is an odd prime, the domain of the prime classification."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def inverse(v: int, m: int) -> int:
@@ -58,17 +65,10 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(factors + [m] if m > 1 else factors)
 
 
-def square_signature(v: int, m: int) -> tuple[bool, ...]:
-    """Quadratic character of the unit v at each odd prime factor of m, by Euler's criterion.
-
-    By Hensel's lemma, for odd m the unit v is a square exactly when every
-    entry is True; is_odd_part_square decides that without building the tuple.
-    """
-    return tuple(pow(v, (f - 1) // 2, f) == 1 for f in prime_factors(m) if f != 2)
-
-
 def is_odd_part_square(v: int, m: int) -> bool:
-    """Whether the unit v is a square mod the odd part of m: all of square_signature, early exit."""
+    """Whether the unit v is a square mod the odd part of m, by Euler's criterion at each odd prime
+    factor (Hensel's lemma lifts it to the prime powers), stopping at the first non-residue.
+    False whenever v shares an odd prime with m, where the Euler test gives 0."""
     for f in prime_factors(m):
         if f != 2 and pow(v, (f - 1) // 2, f) != 1:
             return False

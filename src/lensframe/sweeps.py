@@ -1,6 +1,6 @@
 """Sweeps over the whole unit group of Z/p.
 
-Tables are cached for the last few moduli because the classification and
+Tables are cached for the latest modulus because the classification and
 verification layers reuse them heavily within one p; they are tuples, so
 cached entries cannot be mutated by callers.  Every sweep reads its units
 and their inverses from unit_group, so each inverse is computed once per p.

@@ -64,8 +64,9 @@ def enumerated_keys(p):
 
 
 def test_canonical_key_is_least_of_enumerated_orbit():
-    # all odd p <= 255: three prime factors at 105, 165, 195, 255; prime powers at 9, 27, 125, 243
-    for p in range(3, 256, 2):
+    # all odd p <= 255: three prime factors at 105, 165, 195, 255; prime powers at 9, 27, 125, 243;
+    # then the p < 2000 with four odd prime factors, whose orbits' least members lie furthest out
+    for p in [*range(3, 256, 2), 1155, 1365, 1785, 1995]:
         for q, expected in enumerated_keys(p).items():
             for kind in GEOMETRIC:
                 assert canonical_key(LensSpace(p, q), kind) == (p, expected[kind])

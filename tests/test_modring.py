@@ -10,7 +10,7 @@ from lensframe.modring import (
     is_square_unit,
     prime_factors,
     require_odd,
-    square_signature,
+    require_odd_prime,
     units,
 )
 from reference import square_units
@@ -68,6 +68,14 @@ def test_require_odd():
     for p in (-3, 1, 2, 8):
         with pytest.raises(ValueError, match=f"^p must be odd and >= 3, got {p}$"):
             require_odd(p)
+
+
+def test_require_odd_prime():
+    for p in (3, 5, 997, 10**7 + 19):
+        require_odd_prime(p)
+    for p in (-3, 0, 1, 2, 9, 15, 10**7 + 21):
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+            require_odd_prime(p)
 
 
 def test_mod_inverse_matches_brute_force_scan():
@@ -149,24 +157,26 @@ def test_square_detection_matches_enumeration():
             assert is_square_unit(v, m) == (v in squares)
 
 
-def test_square_signature_classes_are_cosets_of_the_squares():
+def test_odd_part_square_matches_enumeration():
+    # every m <= 255, even ones included: a square mod the odd part of m
+    for m in range(2, 256):
+        odd = m // (m & -m)
+        for v in units(m):
+            assert is_odd_part_square(v, m) == (odd == 1 or v % odd in square_units(odd))
+
+
+def test_product_square_is_coset_membership():
+    # the identity behind canonical_key: u * v is a square exactly when u is in
+    # the coset v * squares, since u * v = (u / v) * v^2; non-units fail both tests
     for m in range(3, 256, 2):
         squares = square_units(m)
-        classes = {}
         for v in units(m):
-            sig = square_signature(v, m)
-            assert all(sig) == (v in squares)
-            classes.setdefault(sig, set()).add(v)
-        for members in classes.values():
-            rep = min(members)
-            assert members == {rep * s % m for s in squares}
-
-
-def test_odd_part_square_is_all_of_the_signature():
-    # the early-exit test against the full tuple, even m included
-    for m in range(2, 256):
-        for v in units(m):
-            assert is_odd_part_square(v, m) == all(square_signature(v, m))
+            coset = {v * s % m for s in squares}
+            for u in units(m):
+                assert is_odd_part_square(u * v % m, m) == (u in coset)
+        for v in set(range(m)) - set(units(m)):
+            assert not is_odd_part_square(v, m)
+            assert not is_odd_part_square_up_to_sign(v, m)
 
 
 def test_square_up_to_sign_matches_enumeration():
