@@ -9,7 +9,6 @@ spherical quotients.
 from .classify import (
     RelationKind,
     collision_scan,
-    invariant_fibers,
     quadratic_roots,
     related,
     verify_prime_classification,
@@ -46,7 +45,6 @@ __all__ = [
     "framing_invariant",
     "framing_invariant_residue",
     "framing_modulus",
-    "invariant_fibers",
     "is_prime",
     "is_square_unit",
     "normalized_framing_invariant",

@@ -18,7 +18,6 @@ from .modring import (
     is_prime,
     require_odd,
     require_odd_prime,
-    units,
 )
 
 
@@ -90,30 +89,20 @@ def quadratic_roots(p: int, c: int) -> set[int]:
     return {q2 for q2 in range(1, p) if table[q2] == c}
 
 
-def invariant_fibers(p: int) -> dict[int, frozenset[int]]:
-    """The units of Z/p (p odd) grouped by framing value: value -> its fiber."""
-    require_odd(p)
-    table = sweeps.invariant_table(p)
-    grouped: dict[int, set[int]] = {}
-    for q in units(p):
-        grouped.setdefault(table[q], set()).add(q)
-    return {v: frozenset(s) for v, s in grouped.items()}
-
-
 def verify_prime_classification(p: int) -> bool:
     """Check that framing values separate units exactly into inverse pairs.
 
     Equivalent to: framing values agree exactly when the spaces are oriented
-    homeomorphic.  Exhaustive over all units of the odd prime p.
+    homeomorphic.  Exhaustive over all units of the odd prime p, by counting:
+    when F(q) = F(q^-1) at every unit, each fiber is a union of the (p + 1)/2
+    inverse classes ({1}, {p - 1} and (p - 3)/2 pairs), so the fibers are
+    exactly those classes if and only if F takes (p + 1)/2 distinct values.
     """
     require_odd_prime(p)
-    fibers = invariant_fibers(p)
     table = sweeps.invariant_table(p)
     _, inverses = sweeps.unit_group(p)
-    for q in range(1, p):
-        if fibers[table[q]] != {q, inverses[q]}:
-            return False
-    return True
+    symmetric = all(table[q] == table[inverses[q]] for q in range(1, p))
+    return symmetric and len(set(table[1:])) == (p + 1) // 2
 
 
 def collision_scan(p: int) -> list[tuple[int, int]]:
@@ -121,20 +110,23 @@ def collision_scan(p: int) -> list[tuple[int, int]]:
 
     Only for odd composite p, where the question is purely empirical: an
     empty result means the invariant still separates L(p, .) up to oriented
-    homeomorphism at this order, and nothing more.
+    homeomorphism at this order, and nothing more.  One pass over the units
+    in increasing order pairs each q with the earlier units of its value.
     """
     require_odd(p)
     if is_prime(p):
         raise ValueError(
             f"p must be composite, got prime {p} (use verify_prime_classification)"
         )
-    _, inverses = sweeps.unit_group(p)
+    table = sweeps.invariant_table(p)
+    group, inverses = sweeps.unit_group(p)
+    seen: dict[int, list[int]] = {}
     pairs: list[tuple[int, int]] = []
-    for fiber in invariant_fibers(p).values():
-        members = sorted(fiber)
-        for i, q in enumerate(members):
-            inv_q = inverses[q]
-            for q2 in members[i + 1 :]:
-                if q2 != inv_q:
-                    pairs.append((q, q2))
+    for q in group:
+        earlier = seen.setdefault(table[q], [])
+        inv_q = inverses[q]
+        for q0 in earlier:
+            if q0 != inv_q:
+                pairs.append((q0, q))
+        earlier.append(q)
     return sorted(pairs)

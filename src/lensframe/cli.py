@@ -151,12 +151,11 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, array]]:
             if raw_sum != 1:
                 report.failures.append(("antisymmetry", p, q, p - q, 1, raw_sum))
 
+        report.checks_run += len(unit_values)
         if is_prime(p):
-            report.checks_run += len(unit_values)
             if not classify.verify_prime_classification(p):
                 report.failures.append(("prime-classification", p, None, None, True, False))
         else:
-            report.checks_run += len(unit_values)
             found = classify.collision_scan(p)
             if found:
                 collisions[p] = array("I", chain.from_iterable(found))

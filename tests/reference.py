@@ -2,6 +2,7 @@
 
 from functools import cache
 
+from lensframe import sweeps
 from lensframe.classify import RelationKind, homeo_orbit
 from lensframe.framing import odd_lift
 from lensframe.modring import inverse, is_odd_part_square, require_odd, units
@@ -11,6 +12,16 @@ from lensframe.modring import inverse, is_odd_part_square, require_odd, units
 def square_units(m: int) -> frozenset[int]:
     """The squares inside the unit group of Z/m, by exhaustive enumeration."""
     return frozenset(u * u % m for u in units(m))
+
+
+def fibers(p: int) -> dict[int, frozenset[int]]:
+    """The units of Z/p (p odd) grouped by framing value: value -> its fiber."""
+    require_odd(p)
+    table = sweeps.invariant_table(p)
+    grouped: dict[int, set[int]] = {}
+    for q in units(p):
+        grouped.setdefault(table[q], set()).add(q)
+    return {v: frozenset(s) for v, s in grouped.items()}
 
 
 def related_by_inverses(kind: RelationKind, p: int, q: int, q2: int) -> bool:

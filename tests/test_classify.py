@@ -8,15 +8,16 @@ from lensframe import sweeps
 from lensframe.classify import (
     RelationKind,
     collision_scan,
-    invariant_fibers,
     quadratic_roots,
     related,
     verify_prime_classification,
 )
+from lensframe.cli import run_verification
 from lensframe.connectsum import canonical_key
 from lensframe.framing import LensSpace, framing_invariant
-from lensframe.modring import units
-from reference import related_by_inverses
+from lensframe.modring import is_prime, units
+
+import reference
 
 RK = RelationKind
 
@@ -82,7 +83,7 @@ def test_related_input_validation():
     # every kind, as the inverse route reports it: the argument as passed, q before q2
     for kind in RK:
         for q, q2, bad in ((3, 1, 3), (1, 6, 6), (-3, 1, -3), (1, 15, 15), (3, 6, 3), (0, 0, 0)):
-            for route in (related, related_by_inverses):
+            for route in (related, reference.related_by_inverses):
                 with pytest.raises(ValueError, match=rf"^{bad} is not a unit mod 9$"):
                     route(kind, 9, q, q2)
         with pytest.raises(ValueError, match=r"^p must be odd and >= 3, got 8$"):
@@ -116,7 +117,7 @@ def relation_query(draw):
 def test_related_matches_the_inverse_route(query):
     p, q, q2 = query
     for kind in RK:
-        assert related(kind, p, q, q2) == related_by_inverses(kind, p, q, q2)
+        assert related(kind, p, q, q2) == reference.related_by_inverses(kind, p, q, q2)
 
 
 def test_relations_are_equivalences():
@@ -173,14 +174,14 @@ def test_quadratic_roots_input_validation():
 
 
 def test_fiber_examples():
-    assert invariant_fibers(5) == {
+    assert reference.fibers(5) == {
         0: frozenset({1}),
         3: frozenset({2, 3}),
         1: frozenset({4}),
     }
-    assert invariant_fibers(3) == {0: frozenset({1}), 1: frozenset({2})}
+    assert reference.fibers(3) == {0: frozenset({1}), 1: frozenset({2})}
     # recomputed by brute force: {2, 4} share value 6, {3, 5} share value 2
-    assert invariant_fibers(7) == {
+    assert reference.fibers(7) == {
         0: frozenset({1}),
         2: frozenset({3, 5}),
         6: frozenset({2, 4}),
@@ -190,7 +191,7 @@ def test_fiber_examples():
 
 def test_fibers_partition_units_and_close_under_inverse():
     for p in range(3, 200, 2):
-        fibers = invariant_fibers(p)
+        fibers = reference.fibers(p)
         assert type(fibers) is dict
         seen = set()
         for value, fiber in fibers.items():
@@ -204,13 +205,55 @@ def test_fibers_partition_units_and_close_under_inverse():
 
 def test_fibers_reject_even_p():
     with pytest.raises(ValueError, match="odd"):
-        invariant_fibers(8)
+        reference.fibers(8)
 
 
 def test_prime_classification_examples():
     assert verify_prime_classification(3)
     assert verify_prime_classification(5)
     assert verify_prime_classification(997)
+
+
+# True framing values at p = 7 are 1:0, 2:6, 3:2, 4:6, 5:2, 6:1; 3 and 5 are inverses.
+BROKEN_TABLES_AT_7 = {
+    "symmetric-3-values": {3: 6, 5: 6},
+    "asymmetric-4-values": {3: 6},
+}
+
+
+@pytest.mark.parametrize("changes", BROKEN_TABLES_AT_7.values(), ids=BROKEN_TABLES_AT_7)
+def test_prime_classification_fails_on_a_broken_table(monkeypatch, changes):
+    true_table = sweeps.invariant_table
+
+    def broken_table(p):
+        table = list(true_table(p))
+        if p == 7:
+            for q, value in changes.items():
+                table[q] = value
+        return tuple(table)
+
+    monkeypatch.setattr(sweeps, "invariant_table", broken_table)
+    assert not verify_prime_classification(7)
+    report, _ = run_verification(7)
+    assert ("prime-classification", 7, None, None, True, False) in report.failures
+
+
+def fiber_collisions(p):
+    pairs = []
+    for fiber in reference.fibers(p).values():
+        members = sorted(fiber)
+        for i, q in enumerate(members):
+            pairs += [(q, q2) for q2 in members[i + 1 :] if q * q2 % p != 1]
+    return sorted(pairs)
+
+
+def test_prime_check_and_collision_scan_match_the_fiber_oracle():
+    for p in range(3, 600, 2):
+        if is_prime(p):
+            exact = all(fiber == {q, pow(q, -1, p)} for fiber in reference.fibers(p).values() for q in fiber)
+            assert verify_prime_classification(p) == exact
+        else:
+            assert collision_scan(p) == fiber_collisions(p)
 
 
 def test_prime_classification_requires_odd_prime():
@@ -242,6 +285,6 @@ def test_collision_scan_rejects_primes_and_even():
 
 def test_roots_agree_with_fibers_for_primes():
     for p in (3, 5, 7, 11, 13, 31):
-        fibers = invariant_fibers(p)
+        fibers = reference.fibers(p)
         for c in range(p):
             assert quadratic_roots(p, c) == set(fibers.get(c, frozenset()))
