@@ -1,9 +1,19 @@
 """Equivalence relations on odd-order lens spaces and fibers of the invariant.
 
-For odd prime p the framing values cut the unit group exactly into the
-inverse pairs {q, q^-1}, i.e. the invariant decides oriented homeomorphism.
-For odd composite p that is an empirical question: collision_scan reports
-what actually happens, and no general claim is made.
+For odd p the fiber of F through a unit q is the set of units x with
+(x - q)(x - q^-1) = 0 mod p.  F separates L(p, .) up to oriented
+homeomorphism (every fiber is an inverse pair {q, q^-1}) exactly when p is
+an odd prime, or p = 3l with l >= 5 prime.
+
+Proof sketch.  By the CRT the fiber is the product of the local solution
+sets mod each prime power l^e that exactly divides p, and every solution
+is a unit.  With d = min(v_l(q^2 - 1), e) the local count is 2 when d = 0,
+2 l^d when 0 < 2d < e, and l^floor(e/2) when 2d >= e.  At a prime (e = 1)
+it is at most 2, and mod 3 every unit has d = e = 1, so one solution: at
+p prime or p = 3l each fiber has at most two members and is {q, q^-1}.
+Any other odd composite p has a factor l^e with e >= 2, where q = 1 has
+l^floor(e/2) >= 3 local solutions, or two prime factors >= 5, where a unit
+that is +-1 modulo neither has a fiber of at least 4.
 """
 
 from __future__ import annotations
@@ -108,10 +118,9 @@ def verify_prime_classification(p: int) -> bool:
 def collision_scan(p: int) -> list[tuple[int, int]]:
     """All unordered unit pairs with equal framing value that are not inverse pairs.
 
-    Only for odd composite p, where the question is purely empirical: an
-    empty result means the invariant still separates L(p, .) up to oriented
-    homeomorphism at this order, and nothing more.  One pass over the units
-    in increasing order pairs each q with the earlier units of its value.
+    Only for odd composite p.  The result is empty exactly when p = 3l with
+    l >= 5 prime (see the module docstring).  One pass over the units in
+    increasing order pairs each q with the earlier units of its value.
     """
     require_odd(p)
     if is_prime(p):

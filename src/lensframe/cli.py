@@ -8,8 +8,6 @@ accepts --format {plain,csv,json} and --out FILE.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -72,14 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
 
 
 def invariant_payload(p: int, q: int, normalized: bool) -> dict:
@@ -163,14 +153,23 @@ def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, array]]:
     return report, collisions
 
 
-def _render_invariant(payload: dict, fmt: OutputFormat) -> str:
+def _render_record(payload: dict, fmt: OutputFormat, plain: str) -> str:
+    """One record: payload as JSON, as a CSV header of its keys over its values, or plain."""
     if fmt is OutputFormat.JSON:
         return json.dumps(payload)
     if fmt is OutputFormat.CSV:
-        header = ("p", "q", "q_inv", "value", "normalized")
-        row = tuple(str(payload[k]).lower() if k == "normalized" else payload[k] for k in header)
-        return _csv_text(header, [row])
-    return f"{payload['value']} (mod {payload['p']})"
+        # Every value is an int, a bool (written true/false) or a %.1f decimal: none needs quoting.
+        return ",".join(payload) + "\n" + ",".join([str(v).lower() for v in payload.values()])
+    return plain
+
+
+def _json_items(items: Iterable[str], brackets: str = "[]") -> Iterator[str]:
+    """The JSON array (brackets "[]") or object ("{}") of rendered items, as text chunks."""
+    separator = brackets[0]
+    for item in items:
+        yield separator + item
+        separator = ", "
+    yield brackets if separator == brackets[0] else brackets[1]
 
 
 def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: OutputFormat) -> Iterator[str]:
@@ -178,11 +177,7 @@ def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: OutputFormat) ->
     if fmt is OutputFormat.JSON:
         # json.dumps of the row dicts, one block at a time: every value is an int.
         row_json = "{" + ", ".join(f'"{c}": %d' for c in TABLE_COLUMNS) + "}"
-        separator = "["
-        for block in blocks:
-            yield separator + ", ".join([row_json % row for row in block])
-            separator = ", "
-        yield "[]" if separator == "[" else "]"
+        yield from _json_items(", ".join([row_json % row for row in block]) for block in blocks)
         return
     separator = "," if fmt is OutputFormat.CSV else " "
     yield separator.join(TABLE_COLUMNS)
@@ -208,15 +203,17 @@ def _render_verify(
             }
         )
         yield head[:-1] + ', "composite_collisions": '
-        separator = "{"
-        for p, flat in collisions.items():
-            yield f'{separator}"{p}": [' + _pairs_text("[%d, %d]", ", ", flat) + "]"
-            separator = ", "
-        yield "{}}" if separator == "{" else "}}"
+        items = (f'"{p}": [' + _pairs_text("[%d, %d]", ", ", f) + "]" for p, f in collisions.items())
+        yield from _json_items(items, "{}")
+        yield "}"
         return
     if fmt is OutputFormat.CSV:
-        header = ("checks_run", "failures", "elapsed_ms")
-        yield _csv_text(header, [(report.checks_run, len(report.failures), f"{report.elapsed_ms:.1f}")])
+        summary = {
+            "checks_run": report.checks_run,
+            "failures": len(report.failures),
+            "elapsed_ms": f"{report.elapsed_ms:.1f}",
+        }
+        yield _render_record(summary, fmt, "")
         return
     lines = [
         f"{report.checks_run} checks in {report.elapsed_ms:.1f} ms, "
@@ -243,7 +240,8 @@ def _render_search(pairs: Iterable[tuple[SumOfLens, SumOfLens]], fmt: OutputForm
     if fmt is OutputFormat.JSON:
         render, line = _sum_json, '{"first": %s, "second": %s}'
     elif fmt is OutputFormat.CSV:
-        render, line = _sum_csv_field, "%s,%s\n"
+        # A sum's text always holds a comma and never a quote, so csv.writer quotes it just so.
+        render, line = str, '"%s","%s"\n'
     else:
         render, line = str, "%s ~h %s (not homeo)\n"
 
@@ -261,11 +259,7 @@ def _render_search(pairs: Iterable[tuple[SumOfLens, SumOfLens]], fmt: OutputForm
             yield [line % (text[id(a)], text[id(b)]) for a, b in block]
 
     if fmt is OutputFormat.JSON:
-        separator = "["
-        for block in blocks():
-            yield separator + ", ".join(block)
-            separator = ", "
-        yield "[]" if separator == "[" else "]"
+        yield from _json_items(", ".join(block) for block in blocks())
         return
     if fmt is OutputFormat.CSV:
         yield "first,second\n"
@@ -277,30 +271,12 @@ def _sum_json(total: SumOfLens) -> str:
     return json.dumps([[s.p, s.q] for s in total.summands])
 
 
-def _sum_csv_field(total: SumOfLens) -> str:
-    # The sum's text as csv.writer quotes it in a row; the quoting of a field
-    # does not depend on the other fields of its row.
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((str(total),))
-    return buf.getvalue()[:-1]
-
-
-def _render_obstruct(payload: dict, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.JSON:
-        return json.dumps(payload)
-    if fmt is OutputFormat.CSV:
-        header = ("group_order", "h1_z2_trivial", "pullback_class", "modulus", "obstructed")
-        row = tuple(str(payload[k]).lower() if isinstance(payload[k], bool) else payload[k] for k in header)
-        return _csv_text(header, [row])
-    verdict = "obstructed" if payload["obstructed"] else "unobstructed"
-    return f"{verdict} (mod {payload['modulus']})"
-
-
 def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
     """The output (one string, or the lazy chunks of table, verify and search) and the exit code."""
     fmt = OutputFormat(args.format)
     if args.command == "invariant":
-        return _render_invariant(invariant_payload(args.p, args.q, args.normalized), fmt), 0
+        payload = invariant_payload(args.p, args.q, args.normalized)
+        return _render_record(payload, fmt, f"{payload['value']} (mod {payload['p']})"), 0
     if args.command == "table":
         return _render_table(table_rows(args.p_min, args.p_max), fmt), 0
     if args.command == "verify":
@@ -312,14 +288,16 @@ def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
     modulus = framing_modulus(args.group_order, not args.h1_nontrivial)
     cls = FramingClass(args.pullback_class % modulus.m, modulus)
     data = QuotientData(args.group_order, not args.h1_nontrivial, cls)
+    obstructed = universally_tight_obstructed(data)
     payload = {
         "group_order": args.group_order,
         "h1_z2_trivial": not args.h1_nontrivial,
         "pullback_class": cls.value,
         "modulus": modulus.m,
-        "obstructed": universally_tight_obstructed(data),
+        "obstructed": obstructed,
     }
-    return _render_obstruct(payload, fmt), 0
+    plain = f"{'obstructed' if obstructed else 'unobstructed'} (mod {modulus.m})"
+    return _render_record(payload, fmt, plain), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -253,7 +253,10 @@ def test_prime_check_and_collision_scan_match_the_fiber_oracle():
             exact = all(fiber == {q, pow(q, -1, p)} for fiber in reference.fibers(p).values() for q in fiber)
             assert verify_prime_classification(p) == exact
         else:
-            assert collision_scan(p) == fiber_collisions(p)
+            found = collision_scan(p)
+            assert found == fiber_collisions(p)
+            # The composite case of the theorem in classify's docstring.
+            assert (not found) == (p % 3 == 0 and is_prime(p // 3) and p // 3 >= 5)
 
 
 def test_prime_classification_requires_odd_prime():

@@ -111,6 +111,21 @@ def test_table_matches_golden_output(tmp_path, capsys, p_min, p_max, fmt):
     assert_golden_output(tmp_path, capsys, ["table", str(p_min), str(p_max)], fmt)
 
 
+# The golden file names of the one-record commands, and their arguments.
+RECORD_GOLDEN = {
+    "invariant_5_2": ["invariant", "5", "2"],
+    "invariant_5_2_normalized": ["invariant", "5", "2", "--normalized"],
+    "obstruct_120_0": ["obstruct", "120", "0"],
+    "obstruct_8_1_h1_nontrivial": ["obstruct", "8", "1", "--h1-nontrivial"],
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_GOLDEN))
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_record_matches_golden_output(tmp_path, capsys, name, fmt):
+    assert_golden_output(tmp_path, capsys, RECORD_GOLDEN[name], fmt, name=name)
+
+
 def assert_golden_output(tmp_path, capsys, args, fmt, mask=bytes, name=None, code=0):
     # stdout and an --out file both equal the golden copy (name, by default the
     # args joined by "_"), byte for byte once mask has rewritten what may differ

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,3 +105,45 @@ def test_cli_table_round_trips(p_range):
         assert q * q_inv % p == 1
         assert odd_q % 2 == odd_q_inv % 2 == 1
         assert (odd_q % p, odd_q_inv % p) == (q, q_inv)
+
+
+# The point commands' ints: small ones, with 0, negatives and even numbers among them, and
+# 40-digit ones, each also as the odd 2n + 1 that a valid call needs.
+SMALL_OR_HUGE = st.one_of(
+    st.integers(-10, 130), st.integers(10**39, 10**40), st.integers(-(10**40), -(10**39))
+)
+POINT_INT = st.one_of(SMALL_OR_HUGE, SMALL_OR_HUGE.map(lambda n: 2 * n + 1))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["invariant", "obstruct", "table", "verify", "search"]))
+    if command == "invariant":
+        args = [draw(POINT_INT), draw(POINT_INT), *draw(st.sampled_from([[], ["--normalized"]]))]
+    elif command == "obstruct":
+        args = [draw(POINT_INT), draw(POINT_INT), *draw(st.sampled_from([[], ["--h1-nontrivial"]]))]
+    elif command == "table":
+        args = [draw(st.integers(-5, 30)), draw(st.integers(-5, 30))]
+    elif command == "verify":
+        args = [draw(st.integers(-5, 30))]
+    else:
+        args = [draw(st.integers(-5, 13)), *draw(st.sampled_from([[], [1], [2], [3]]))]
+    fmt = draw(st.sampled_from(["plain", "csv", "json"]))
+    return [command, *map(str, args), "--format", fmt]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv(), st.booleans())
+def test_cli_argv_fuzz_exits_cleanly(argv, to_file):
+    known = b"bytes from before the run\n"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out.txt"
+        target.write_bytes(known)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(target)] if to_file else argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 1:
+            assert target.read_bytes() == known
+        assert os.listdir(tmp) == ["out.txt"]
