@@ -426,6 +426,8 @@ def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out == "":
+            parser.error("argument --out: expected a file name, got an empty string")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

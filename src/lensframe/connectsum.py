@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice, product, repeat
+from itertools import chain, combinations_with_replacement, islice, repeat
 from operator import attrgetter
 
 from .classify import _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, homeo_orbit
@@ -70,29 +70,21 @@ def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
     return keys_a == keys_b
 
 
-def _distinct_sums(p_values: tuple[int, ...], spaces: dict[int, list[LensSpace]]) -> list[SumOfLens]:
-    # One sum per multiset of oriented-homeo classes over the given p-multiset,
-    # in (p, q) order; the sums share their summands.
-    if len(p_values) == 1:
-        return [SumOfLens((space,)) for space in spaces[p_values[0]]]
-    p1, p2 = p_values
-    if p1 == p2:
-        return [SumOfLens(pair) for pair in combinations_with_replacement(spaces[p1], 2)]
-    return [SumOfLens(pair) for pair in product(spaces[p1], spaces[p2])]
-
-
 class ExoticPairs:
     """The pairs found by find_exotic_pairs: a sized view that generates them on each pass.
 
-    Holds the sums and their homotopy groups, never the pairs: len() counts
-    the pairs without generating any, and every pass yields them in the
-    same order.  The view keeps every sum alive as long as it lives.
+    Holds the sums and their homotopy groups, never the pairs: one head per
+    sum, in the order the sums were made.  len() counts the pairs without
+    generating any, and every pass yields them in the same order.  The view
+    keeps every sum alive as long as it lives.
     """
 
     __slots__ = ("_heads",)
 
     def __init__(self, heads: list[tuple[list[SumOfLens], int]]) -> None:
-        # Each head is (a homotopy group, the index of the pair's first sum in it).
+        # Each head is (a homotopy group, the index of a sum in it), pairing that
+        # sum with the group's later sums; a group's last sum pairs with none,
+        # so its head counts 0 and yields an empty islice.
         self._heads = heads
 
     def __len__(self) -> int:
@@ -113,44 +105,28 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> ExoticPairs:
     ORIENTED_HOMEO.  Each pair is listed once, with its sums in (p, q) order,
     sorted by the (p, q) tuples of the first sum, then of the second.
 
-    The arguments are checked and the sums grouped at once; the pairs come
-    from the returned ExoticPairs, a sized view that generates them in that
-    order on each pass, so memory holds the sums but not the pairs.
+    The arguments are checked and the sums made and grouped at once, in one
+    pass over the sums in that order; the pairs come from the returned
+    ExoticPairs, a sized view that generates them in that order on each
+    pass, so memory holds the sums but not the pairs.
     """
     if max_p < 3:
         raise ValueError(f"max_p must be >= 3, got {max_p}")
     if num_summands not in (1, 2):
         raise ValueError(f"num_summands must be 1 or 2, got {num_summands}")
-    primes = [p for p in range(3, max_p + 1, 2) if is_prime(p)]
-    # units(p) is increasing, so each orbit's least member comes out in order.
-    spaces = {
-        p: [LensSpace(p, q) for q in units(p) if q == min(homeo_orbit(p, q, inverse(q, p), True))]
-        for p in primes
-    }
-    homotopy_key = {
-        (s.p, s.q): canonical_key(s, RelationKind.ORIENTED_HOMOTOPY)
-        for p_spaces in spaces.values()
-        for s in p_spaces
-    }
+    # One space per oriented-homeo class, in (p, q) order: units(p) is increasing.
+    spaces = [LensSpace(p, q) for p in range(3, max_p + 1, 2) if is_prime(p)
+              for q in units(p) if q == min(homeo_orbit(p, q, inverse(q, p), True))]
+    homotopy_key = {(s.p, s.q): canonical_key(s, RelationKind.ORIENTED_HOMOTOPY) for s in spaces}
 
-    # Both sums of a pair lie in one homotopy group, so walking all sums in
-    # (p, q) order and pairing each with the later members of its group gives
-    # the pairs in (first, second) order without sorting the pairs.
+    # combinations_with_replacement yields every sum once, in (p, q)-tuple
+    # order, so each homotopy group lists its sums in order and the heads
+    # come in the order of their first sums: the pairs' order, unsorted.
+    # The key holds p, so one dict over all p-multisets separates them.
+    by_homotopy: dict[tuple[tuple[int, int], ...], list[SumOfLens]] = {}
     heads = []
-    for p_values in combinations_with_replacement(primes, num_summands):
-        by_homotopy: dict[tuple[tuple[int, int], ...], list[SumOfLens]] = {}
-        for total in _distinct_sums(p_values, spaces):
-            key = tuple(sorted(homotopy_key[s.p, s.q] for s in total.summands))
-            by_homotopy.setdefault(key, []).append(total)
-        for group in by_homotopy.values():
-            # _distinct_sums lists each p-multiset's sums in (p, q) order, so
-            # every group is already in order; its last sum heads no pair.
-            heads.extend((group, i) for i in range(len(group) - 1))
-    heads.sort(key=_head_key)
+    for summands in combinations_with_replacement(spaces, num_summands):
+        group = by_homotopy.setdefault(tuple(sorted(homotopy_key[s.p, s.q] for s in summands)), [])
+        heads.append((group, len(group)))
+        group.append(SumOfLens(summands))
     return ExoticPairs(heads)
-
-
-def _head_key(head: tuple[list[SumOfLens], int]) -> tuple[tuple[int, int], ...]:
-    # The (p, q) tuples of the head's sum: distinct sums have distinct keys.
-    group, index = head
-    return tuple((s.p, s.q) for s in group[index].summands)

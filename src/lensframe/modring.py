@@ -10,11 +10,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Per-modulus tables kept by units and the sweeps: sweeps go in increasing p
-# and reuse a p's tables only while that p is swept, so one modulus keeps
-# every hit and memory holds one p's tables.
-TABLE_CACHE_SIZE = 1
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -47,7 +42,6 @@ def inverse(v: int, m: int) -> int:
         raise ValueError(f"{v} is not a unit mod {m}") from None
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def units(m: int) -> tuple[int, ...]:
     """All unit residues of Z/m in increasing order."""
     return tuple(v for v in range(1, m) if math.gcd(v, m) == 1)

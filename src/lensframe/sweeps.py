@@ -12,9 +12,14 @@ from functools import lru_cache
 from itertools import repeat
 
 from .framing import odd_lift
-from .modring import TABLE_CACHE_SIZE, inverse, require_odd, units
+from .modring import inverse, require_odd, units
 
 BACKEND = "python"
+
+# Per-modulus tables kept by the sweeps: sweeps go in increasing p and reuse
+# a p's tables only while that p is swept, so one modulus keeps every hit and
+# memory holds one p's tables.
+TABLE_CACHE_SIZE = 1
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

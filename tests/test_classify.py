@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensframe import sweeps
+from lensframe import connectsum, modring, sweeps
 from lensframe.classify import (
     RelationKind,
     collision_scan,
@@ -60,9 +60,15 @@ def test_framing_equal_matches_invariant():
                 assert related(RK.FRAMING_EQUAL, p, q, q2) == expected
 
 
-def test_point_queries_build_no_per_modulus_tables():
+def test_point_queries_build_no_per_modulus_tables(monkeypatch):
     p = 10**7 + 19  # a prime = 11 mod 12: -1 is a non-square and 3 a square
-    caches = (sweeps.unit_group, sweeps.invariant_table, units)
+
+    def no_units(m):
+        raise AssertionError(f"units({m}) was listed")
+
+    for module in (modring, sweeps, connectsum):
+        monkeypatch.setattr(module, "units", no_units)
+    caches = (sweeps.unit_group, sweeps.invariant_table)
     before = [cache.cache_info() for cache in caches]
     half = (p + 1) // 2
     assert related(RK.ORIENTED_HOMEO, p, 2, half)

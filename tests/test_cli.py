@@ -214,6 +214,19 @@ def test_verify_bad_input_writes_no_file(tmp_path, capsys, max_p):
     assert os.listdir(tmp_path) == []
 
 
+def test_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # An empty name once resolved to the current directory, so a temporary
+    # file came and went in its parent before the write failed.
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    code, out, err = run_cli(capsys, "invariant", "5", "2", "--out", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+    assert "stdout" not in err
+    assert os.listdir(tmp_path) == ["sub"]
+    assert os.listdir(tmp_path / "sub") == []
+
+
 def test_verify_rejects_max_p_past_its_arrays(tmp_path, capsys, monkeypatch):
     too_big = str(2**32)  # the collision arrays hold q as a 32-bit unsigned int
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -186,3 +187,16 @@ def test_search_matches_brute_force_in_order(num_summands):
         # The view counts its pairs without generating them, and every pass repeats the first.
         assert len(view) == len(pairs), max_p
         assert list(view) == pairs, max_p
+
+
+def test_grouping_keeps_nothing_transient():
+    # The sums are made and grouped in one pass, in output order, so the peak
+    # is the memory the view keeps; a ratio holds across Python versions.
+    tracemalloc.start()
+    try:
+        view = find_exotic_pairs(41, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(view) > 0
+    assert peak <= 1.1 * held, (peak, held)

@@ -2,7 +2,8 @@ import pytest
 
 from lensframe import sweeps
 from lensframe.framing import LensSpace, framing_invariant, framing_invariant_residue
-from lensframe.modring import TABLE_CACHE_SIZE, inverse, units
+from lensframe.modring import inverse, units
+from lensframe.sweeps import TABLE_CACHE_SIZE
 
 SAMPLE_P = [3, 5, 7, 9, 15, 21, 45, 99, 121, 499, 997]
 
