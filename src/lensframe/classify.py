@@ -47,25 +47,14 @@ class RelationKind(Enum):
 _ORIENTED_HOMEO, _HOMEO, _ORIENTED_HOMOTOPY, _HOMOTOPY, _FRAMING_EQUAL = RelationKind
 
 
-def homeo_orbit(p: int, q: int, q_inv: int, oriented: bool) -> tuple[int, ...]:
-    """The residues identified with the unit q in [1, p) by (oriented) homeomorphism.
-
-    q_inv is the inverse of q.  The oriented orbit is (q, q^-1); allowing
-    mirror images adds (-q, -q^-1).  The tuple may repeat a residue.
-    """
-    if oriented:
-        return q, q_inv
-    return q, q_inv, p - q, p - q_inv
-
-
 def related(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     """Whether L(p, q) and L(p, q2) are identified under the given relation.
 
     Every kind tests the unit q * q2 (p odd), with no inverse or table and at
     most one pow per prime factor of p: q2 = q or q * q2 = 1 is the oriented
-    homeo_orbit, mirrors add q2 = -q and q * q2 = -1; q2/q = q * q2 / q^2 is a
-    square (up to sign) when q * q2 is; framing values agree exactly when
-    (q - q2)(q * q2 - 1) = 0 mod p.
+    homeomorphism orbit {q, q^-1}, mirrors add q2 = -q and q * q2 = -1;
+    q2/q = q * q2 / q^2 is a square (up to sign) when q * q2 is; framing
+    values agree exactly when (q - q2)(q * q2 - 1) = 0 mod p.
     """
     require_odd(p)
     product = q * q2 % p

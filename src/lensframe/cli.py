@@ -13,14 +13,12 @@ import math
 import os
 import stat
 import sys
-import time
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 
-from . import classify, sweeps
+from . import sweeps
 from .connectsum import SumOfLens, find_exotic_pairs
 from .framing import (
     FramingClass,
@@ -32,35 +30,19 @@ from .framing import (
     odd_lift,
     universally_tight_obstructed,
 )
-from .modring import inverse, is_prime, require_odd
+from .modring import inverse, require_odd
+from .verify import VerificationReport, run_verification
 
 TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
 
-# verify tries the lifts a + 2jp, b + 2kp of every unit for 0 <= j, k <= MAX_SHIFT.
-MAX_SHIFT = 5
-
 # search writes its pairs in chunks of this many lines.
 SEARCH_BLOCK = 4096
-
-# verify keeps collision residues in array("I"), so max_p must stay below this.
-VERIFY_P_LIMIT = 1 << 8 * array("I").itemsize
 
 
 class OutputFormat(Enum):
     PLAIN = "plain"
     CSV = "csv"
     JSON = "json"
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of a verification run; failures empty means overall pass."""
-
-    checks_run: int = 0
-    failures: list[tuple[str, int, int | None, int | None, object, object]] = field(
-        default_factory=list
-    )
-    elapsed_ms: float = 0.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,53 +88,6 @@ def _table_block(p: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def run_verification(max_p: int) -> tuple[VerificationReport, dict[int, array]]:
-    """Sweep all odd p <= max_p; composite-order collisions are informational.
-
-    Each composite p's collision pairs (q, q2) are kept flat, as q, q2, q, q2, ...
-    in one array of unsigned ints: 8 bytes a pair.
-    """
-    if max_p < 3:
-        raise ValueError(f"max_p must be >= 3, got {max_p}")
-    if max_p >= VERIFY_P_LIMIT:
-        raise ValueError(f"max_p must be < {VERIFY_P_LIMIT}, got {max_p}")
-    start = time.perf_counter()
-    report = VerificationReport()
-    collisions: dict[int, array] = {}
-    for p in range(3, max_p + 1, 2):
-        table = sweeps.invariant_table(p)
-        unit_values, inverses = sweeps.unit_group(p)
-
-        bad = sweeps.lift_mismatch(p, MAX_SHIFT)
-        report.checks_run += len(unit_values) * (MAX_SHIFT + 1) ** 2
-        if bad != -1:
-            actual = sweeps.first_bad_lift(p, bad, inverses[bad], MAX_SHIFT)
-            report.failures.append(
-                ("representative-independence", p, bad, None, table[bad], actual)
-            )
-
-        for q in unit_values:
-            q_inv = inverses[q]
-            report.checks_run += 1
-            if table[q] != table[q_inv]:
-                report.failures.append(("inverse-symmetry", p, q, q_inv, table[q], table[q_inv]))
-            report.checks_run += 1
-            raw_sum = (table[q] + table[p - q]) % p
-            if raw_sum != 1:
-                report.failures.append(("antisymmetry", p, q, p - q, 1, raw_sum))
-
-        report.checks_run += len(unit_values)
-        if is_prime(p):
-            if not classify.verify_prime_classification(p):
-                report.failures.append(("prime-classification", p, None, None, True, False))
-        else:
-            found = classify.collision_scan(p)
-            if found:
-                collisions[p] = array("I", chain.from_iterable(found))
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report, collisions
-
-
 def _render_record(payload: dict, fmt: OutputFormat, plain: str) -> str:
     """One record: payload as JSON, as a CSV header of its keys over its values, or plain."""
     if fmt is OutputFormat.JSON:
@@ -186,9 +121,7 @@ def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: OutputFormat) ->
         yield "".join([line % row for row in block])
 
 
-def _render_verify(
-    report: VerificationReport, collisions: dict[int, array], fmt: OutputFormat
-) -> Iterator[str]:
+def _render_verify(report: VerificationReport, fmt: OutputFormat) -> Iterator[str]:
     """The report as text chunks: the summary and failures, then one chunk per composite p."""
     if fmt is OutputFormat.JSON:
         # json.dumps of the whole report, with its last field written one p at a time.
@@ -203,8 +136,8 @@ def _render_verify(
             }
         )
         yield head[:-1] + ', "composite_collisions": '
-        items = (f'"{p}": [' + _pairs_text("[%d, %d]", ", ", f) + "]" for p, f in collisions.items())
-        yield from _json_items(items, "{}")
+        pairs = report.collisions.items()
+        yield from _json_items((f'"{p}": [' + _pairs_text("[%d, %d]", ", ", f) + "]" for p, f in pairs), "{}")
         yield "}"
         return
     if fmt is OutputFormat.CSV:
@@ -222,7 +155,7 @@ def _render_verify(
     for c, p, q, q2, expected, actual in report.failures:
         lines.append(f"FAIL {c}: p={p} q={q} q2={q2} expected={expected} actual={actual}")
     yield "\n".join(lines)
-    for p, flat in collisions.items():
+    for p, flat in report.collisions.items():
         yield f"\nnote: composite p={p} collisions: " + _pairs_text("(%d,%d)", " ", flat)
     yield "\nFAIL" if report.failures else "\nPASS"
 
@@ -280,8 +213,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
     if args.command == "table":
         return _render_table(table_rows(args.p_min, args.p_max), fmt), 0
     if args.command == "verify":
-        report, collisions = run_verification(args.max_p)
-        return _render_verify(report, collisions, fmt), 2 if report.failures else 0
+        report = run_verification(args.max_p)
+        return _render_verify(report, fmt), 2 if report.failures else 0
     if args.command == "search":
         return _render_search(find_exotic_pairs(args.max_p, args.summands), fmt), 0
     # obstruct
@@ -308,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="plain",
         help="output format (default: plain)",
     )
-    common.add_argument("--out", metavar="FILE", default=None, help="write output to FILE")
+    common.add_argument("--out", type=_out_file, metavar="FILE", default=None, help="write output to FILE")
 
     parser = _Parser(
         prog="lensframe",
@@ -348,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="the quotient has H_1(M; Z/2) != 0 (modulus halves)",
     )
     return parser
+
+
+def _out_file(name: str) -> str:
+    if not name:
+        raise argparse.ArgumentTypeError("expected a file name, got an empty string")
+    return name
 
 
 def _write(output: str | Iterable[str], stream) -> None:
@@ -426,8 +365,6 @@ def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.out == "":
-            parser.error("argument --out: expected a file name, got an empty string")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, repeat
 from operator import attrgetter
 
-from .classify import _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, homeo_orbit
+from .classify import _FRAMING_EQUAL, _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind
 from .framing import LensSpace
 from .modring import inverse, is_odd_part_square, is_odd_part_square_up_to_sign, is_prime, units
 
@@ -44,14 +44,22 @@ def _require_odd_order(space: LensSpace) -> None:
         raise ValueError(f"summand {space} has even order")
 
 
+def _require_matching_kind(kind: RelationKind) -> None:
+    if kind is _FRAMING_EQUAL:
+        raise ValueError(f"{kind.value} does not induce summand matching on sums")
+    if kind not in _GEOMETRIC_KINDS:
+        raise ValueError(f"unknown relation kind {kind!r}")
+
+
 def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
     """(p, least residue in the kind-orbit of q); at equal p, equal keys decide the relation."""
-    if kind not in _GEOMETRIC_KINDS:
-        raise ValueError(f"{kind.value} does not induce summand matching on sums")
+    _require_matching_kind(kind)
     _require_odd_order(space)
     p, q = space.p, space.q
     if kind is _ORIENTED_HOMEO or kind is _HOMEO:
-        return p, min(homeo_orbit(p, q, inverse(q, p), kind is _ORIENTED_HOMEO))
+        # The orbit is {q, q^-1}; mirror images add {-q, -q^-1}.
+        q_inv = inverse(q, p)
+        return p, min(q, q_inv) if kind is _ORIENTED_HOMEO else min(q, q_inv, p - q, p - q_inv)
     # related()'s test: u is in q's orbit exactly when u * q = (u / q) * q^2 is a
     # square (up to sign).  A non-unit u fails it at a prime factor it shares with p.
     square = is_odd_part_square if kind is _ORIENTED_HOMOTOPY else is_odd_part_square_up_to_sign
@@ -65,6 +73,7 @@ def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
     (prime decompositions are unique); for the homotopy kinds a match is a
     sufficient certificate, and a failed match only means no certificate.
     """
+    _require_matching_kind(kind)
     keys_a = sorted([canonical_key(s, kind) for s in a.summands])
     keys_b = sorted([canonical_key(s, kind) for s in b.summands])
     return keys_a == keys_b
@@ -115,8 +124,8 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> ExoticPairs:
     if num_summands not in (1, 2):
         raise ValueError(f"num_summands must be 1 or 2, got {num_summands}")
     # One space per oriented-homeo class, in (p, q) order: units(p) is increasing.
-    spaces = [LensSpace(p, q) for p in range(3, max_p + 1, 2) if is_prime(p)
-              for q in units(p) if q == min(homeo_orbit(p, q, inverse(q, p), True))]
+    spaces = [s for p in range(3, max_p + 1, 2) if is_prime(p)
+              for s in map(LensSpace, repeat(p), units(p)) if canonical_key(s, _ORIENTED_HOMEO)[1] == s.q]
     homotopy_key = {(s.p, s.q): canonical_key(s, RelationKind.ORIENTED_HOMOTOPY) for s in spaces}
 
     # combinations_with_replacement yields every sum once, in (p, q)-tuple

@@ -86,6 +86,7 @@ def is_square_unit(v: int, m: int) -> bool:
 
     is_odd_part_square decides the odd part of m; mod 2^e, squares are the units = 1 mod min(2^e, 8).
     """
+    Modulus(m)  # rejects m < 2
     if math.gcd(v, m) != 1:
         raise ValueError(f"{v} is not a unit mod {m}")
     return (v - 1) % min(m & -m, 8) == 0 and is_odd_part_square(v, m)

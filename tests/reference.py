@@ -3,7 +3,7 @@
 from functools import cache
 
 from lensframe import sweeps
-from lensframe.classify import RelationKind, homeo_orbit
+from lensframe.classify import RelationKind
 from lensframe.framing import odd_lift
 from lensframe.modring import inverse, is_odd_part_square, require_odd, units
 
@@ -27,8 +27,8 @@ def fibers(p: int) -> dict[int, frozenset[int]]:
 def related_by_inverses(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     """The relations by the inverse route, the oracle for classify.related, which takes none.
 
-    Both inverses, membership in homeo_orbit, squares tested on the ratio q2/q,
-    and the framing values by their odd-lift formula.
+    Both inverses, membership in the orbit {q, q^-1} (mirrors add -q and -q^-1),
+    squares tested on the ratio q2/q, and the framing values by their odd-lift formula.
     """
     require_odd(p)
     inv_q = inverse(q, p)
@@ -36,8 +36,10 @@ def related_by_inverses(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     q, q2 = q % p, q2 % p
     if kind is RelationKind.FRAMING_EQUAL:
         return _framing(p, q, inv_q) == _framing(p, q2, inv_q2)
-    if kind in (RelationKind.ORIENTED_HOMEO, RelationKind.HOMEO):
-        return q2 in homeo_orbit(p, q, inv_q, kind is RelationKind.ORIENTED_HOMEO)
+    if kind is RelationKind.ORIENTED_HOMEO:
+        return q2 in (q, inv_q)
+    if kind is RelationKind.HOMEO:
+        return q2 in (q, inv_q, p - q, p - inv_q)
     ratio = q2 * inv_q % p
     if kind is RelationKind.ORIENTED_HOMOTOPY:
         return is_odd_part_square(ratio, p)

@@ -12,7 +12,7 @@ from lensframe.classify import (
     related,
     verify_prime_classification,
 )
-from lensframe.cli import run_verification
+from lensframe.verify import run_verification
 from lensframe.connectsum import canonical_key
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import is_prime, units
@@ -240,7 +240,7 @@ def test_prime_classification_fails_on_a_broken_table(monkeypatch, changes):
 
     monkeypatch.setattr(sweeps, "invariant_table", broken_table)
     assert not verify_prime_classification(7)
-    report, _ = run_verification(7)
+    report = run_verification(7)
     assert ("prime-classification", 7, None, None, True, False) in report.failures
 
 

@@ -17,10 +17,11 @@ import pytest
 
 from lensframe import cli, sweeps
 from lensframe.classify import collision_scan
-from lensframe.cli import main, run_verification
+from lensframe.cli import main
 from lensframe.connectsum import ExoticPairs, find_exotic_pairs
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import is_prime
+from lensframe.verify import run_verification
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,7 +222,7 @@ def test_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path / "sub")
     code, out, err = run_cli(capsys, "invariant", "5", "2", "--out", "")
     assert (code, out) == (1, "")
-    assert err.startswith("usage: ")
+    assert err.startswith("usage: lensframe invariant")
     assert "stdout" not in err
     assert os.listdir(tmp_path) == ["sub"]
     assert os.listdir(tmp_path / "sub") == []
@@ -360,10 +361,19 @@ def test_verify_usage_error(capsys):
 
 
 def test_verification_report_counts():
-    report, collisions = run_verification(5)
+    report = run_verification(5)
     assert report.checks_run > 0
     assert report.failures == []
-    assert collisions == {}
+    assert report.collisions == {}
+
+
+def test_verify_layer_imports_no_cli():
+    # The engine is a library layer: importing it loads neither the CLI nor argparse.
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lensframe.verify; print('lensframe.cli' in sys.modules, 'argparse' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["False", "False"]
 
 
 class _NullSink:
@@ -377,17 +387,17 @@ def test_verification_memory_stays_small():
     # stay under 1 MB (tuples in lists and a one-string report peaked at 5.1 MB).
     tracemalloc.start()
     try:
-        report, collisions = run_verification(399)
+        report = run_verification(399)
         for fmt in (cli.OutputFormat.PLAIN, cli.OutputFormat.JSON):
-            cli._write(cli._render_verify(report, collisions, fmt), _NullSink())
+            cli._write(cli._render_verify(report, fmt), _NullSink())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1_000_000
     assert report.failures == []
     composites = [p for p in range(9, 400, 2) if not is_prime(p)]
-    assert list(collisions) == [p for p in composites if collision_scan(p)]
-    for p, flat in collisions.items():
+    assert list(report.collisions) == [p for p in composites if collision_scan(p)]
+    for p, flat in report.collisions.items():
         assert flat.typecode == "I" and flat.itemsize == 4
         assert flat.tolist() == list(chain.from_iterable(collision_scan(p)))
 
@@ -397,7 +407,7 @@ def test_verification_records_a_lift_failure(monkeypatch):
 
     # With even lifts the value depends on the shift: 3*3//4 = 2 but 3*9//4 = 0 (mod 3).
     monkeypatch.setattr(sweeps, "odd_lift", _even_lift)
-    report, _ = run_verification(3)
+    report = run_verification(3)
     assert report.failures == [("representative-independence", 3, 1, None, 0, 0)]
 
 

@@ -78,6 +78,12 @@ def test_canonical_key_rejects_framing_kind():
         canonical_key(LensSpace(5, 2), RK.FRAMING_EQUAL)
 
 
+def test_canonical_key_rejects_a_non_kind():
+    # related() rejects a kind given by its value the same way.
+    with pytest.raises(ValueError, match="^unknown relation kind 'homeo'$"):
+        canonical_key(LensSpace(5, 2), "homeo")
+
+
 def test_canonical_key_decides_relation():
     for p in (5, 7, 9, 15):
         for kind in GEOMETRIC:
@@ -98,6 +104,12 @@ def test_order5_double_sums_homotopy_matched_not_homeomorphic():
 
 def test_empty_sums_are_equivalent():
     assert sums_equivalent(SumOfLens(), SumOfLens(), RK.HOMEO)
+
+
+def test_empty_sums_reject_the_framing_kind():
+    # The kind is checked before any summand is, so an empty sum cannot skip it.
+    with pytest.raises(ValueError, match="summand matching"):
+        sums_equivalent(SumOfLens(), SumOfLens(), RK.FRAMING_EQUAL)
 
 
 def test_sums_equivalence_properties_small():

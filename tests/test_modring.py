@@ -131,6 +131,12 @@ def test_is_square_unit_rejects_non_units():
         is_square_unit(3, 9)
 
 
+@pytest.mark.parametrize("m", [0, -7])
+def test_is_square_unit_rejects_moduli_below_2(m):
+    with pytest.raises(ValueError, match=f"^modulus must be >= 2, got {m}$"):
+        is_square_unit(1, m)
+
+
 def test_euler_criterion_agrees_on_primes():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101):
         for v in range(1, p):
