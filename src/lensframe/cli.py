@@ -15,8 +15,7 @@ import stat
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
-from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 
 from . import sweeps
 from .connectsum import SumOfLens, find_exotic_pairs
@@ -37,12 +36,6 @@ TABLE_COLUMNS = ("p", "q", "q_inv", "odd_rep_q", "odd_rep_qinv", "F", "F_norm")
 
 # search writes its pairs in chunks of this many lines.
 SEARCH_BLOCK = 4096
-
-
-class OutputFormat(Enum):
-    PLAIN = "plain"
-    CSV = "csv"
-    JSON = "json"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,14 +81,14 @@ def _table_block(p: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _render_record(payload: dict, fmt: OutputFormat, plain: str) -> str:
-    """One record: payload as JSON, as a CSV header of its keys over its values, or plain."""
-    if fmt is OutputFormat.JSON:
-        return json.dumps(payload)
-    if fmt is OutputFormat.CSV:
+def _render_record(payload: dict, fmt: str, plain: str) -> tuple[str]:
+    """One record as one chunk: payload as JSON, as a CSV header of its keys over its values, or plain."""
+    if fmt == "json":
+        return (json.dumps(payload),)
+    if fmt == "csv":
         # Every value is an int, a bool (written true/false) or a %.1f decimal: none needs quoting.
-        return ",".join(payload) + "\n" + ",".join([str(v).lower() for v in payload.values()])
-    return plain
+        return (",".join(payload) + "\n" + ",".join([str(v).lower() for v in payload.values()]),)
+    return (plain,)
 
 
 def _json_items(items: Iterable[str], brackets: str = "[]") -> Iterator[str]:
@@ -107,23 +100,28 @@ def _json_items(items: Iterable[str], brackets: str = "[]") -> Iterator[str]:
     yield brackets if separator == brackets[0] else brackets[1]
 
 
-def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: OutputFormat) -> Iterator[str]:
+def _render_lines(blocks: Iterable[list[str]], fmt: str, header: str) -> Iterator[str]:
+    """One JSON array of the blocks' items, or the header and then each block joined, read lazily."""
+    if fmt == "json":
+        return _json_items(", ".join(block) for block in blocks)
+    return chain((header,), map("".join, blocks))
+
+
+def _render_table(blocks: Iterable[list[tuple[int, ...]]], fmt: str) -> Iterator[str]:
     """The table as one text chunk per block; joined, they are the text of a whole-table render."""
-    if fmt is OutputFormat.JSON:
+    separator = "," if fmt == "csv" else " "
+    if fmt == "json":
         # json.dumps of the row dicts, one block at a time: every value is an int.
-        row_json = "{" + ", ".join(f'"{c}": %d' for c in TABLE_COLUMNS) + "}"
-        yield from _json_items(", ".join([row_json % row for row in block]) for block in blocks)
-        return
-    separator = "," if fmt is OutputFormat.CSV else " "
-    yield separator.join(TABLE_COLUMNS)
-    line = "\n" + separator.join(["%d"] * len(TABLE_COLUMNS))
-    for block in blocks:
-        yield "".join([line % row for row in block])
+        line = "{" + ", ".join(f'"{c}": %d' for c in TABLE_COLUMNS) + "}"
+    else:
+        line = separator.join(["%d"] * len(TABLE_COLUMNS)) + "\n"
+    rendered = ([line % row for row in block] for block in blocks)
+    return _render_lines(rendered, fmt, separator.join(TABLE_COLUMNS) + "\n")
 
 
-def _render_verify(report: VerificationReport, fmt: OutputFormat) -> Iterator[str]:
+def _render_verify(report: VerificationReport, fmt: str) -> Iterator[str]:
     """The report as text chunks: the summary and failures, then one chunk per composite p."""
-    if fmt is OutputFormat.JSON:
+    if fmt == "json":
         # json.dumps of the whole report, with its last field written one p at a time.
         head = json.dumps(
             {
@@ -140,13 +138,13 @@ def _render_verify(report: VerificationReport, fmt: OutputFormat) -> Iterator[st
         yield from _json_items((f'"{p}": [' + _pairs_text("[%d, %d]", ", ", f) + "]" for p, f in pairs), "{}")
         yield "}"
         return
-    if fmt is OutputFormat.CSV:
+    if fmt == "csv":
         summary = {
             "checks_run": report.checks_run,
             "failures": len(report.failures),
             "elapsed_ms": f"{report.elapsed_ms:.1f}",
         }
-        yield _render_record(summary, fmt, "")
+        yield from _render_record(summary, fmt, "")
         return
     lines = [
         f"{report.checks_run} checks in {report.elapsed_ms:.1f} ms, "
@@ -165,14 +163,14 @@ def _pairs_text(pair: str, separator: str, flat: array) -> str:
     return separator.join([pair] * (len(flat) // 2)) % tuple(flat)
 
 
-def _render_search(pairs: Iterable[tuple[SumOfLens, SumOfLens]], fmt: OutputFormat) -> Iterator[str]:
+def _render_search(pairs: Iterable[tuple[SumOfLens, SumOfLens]], fmt: str) -> Iterator[str]:
     """The pairs as text chunks of SEARCH_BLOCK pairs; joined, they are the text of a whole render.
 
     The pairs are taken SEARCH_BLOCK at a time, so a lazy iterable is generated as it is written.
     """
-    if fmt is OutputFormat.JSON:
+    if fmt == "json":
         render, line = _sum_json, '{"first": %s, "second": %s}'
-    elif fmt is OutputFormat.CSV:
+    elif fmt == "csv":
         # A sum's text always holds a comma and never a quote, so csv.writer quotes it just so.
         render, line = str, '"%s","%s"\n'
     else:
@@ -191,22 +189,16 @@ def _render_search(pairs: Iterable[tuple[SumOfLens, SumOfLens]], fmt: OutputForm
                     text[id(total)] = render(total)
             yield [line % (text[id(a)], text[id(b)]) for a, b in block]
 
-    if fmt is OutputFormat.JSON:
-        yield from _json_items(", ".join(block) for block in blocks())
-        return
-    if fmt is OutputFormat.CSV:
-        yield "first,second\n"
-    for block in blocks():
-        yield "".join(block)
+    return _render_lines(blocks(), fmt, "first,second\n" if fmt == "csv" else "")
 
 
 def _sum_json(total: SumOfLens) -> str:
     return json.dumps([[s.p, s.q] for s in total.summands])
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[str | Iterable[str], int]:
-    """The output (one string, or the lazy chunks of table, verify and search) and the exit code."""
-    fmt = OutputFormat(args.format)
+def _dispatch(args: argparse.Namespace) -> tuple[Iterable[str], int]:
+    """The output as text chunks (lazy for table, verify and search) and the exit code."""
+    fmt = args.format
     if args.command == "invariant":
         payload = invariant_payload(args.p, args.q, args.normalized)
         return _render_record(payload, fmt, f"{payload['value']} (mod {payload['p']})"), 0
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=[f.value for f in OutputFormat],
+        choices=["plain", "csv", "json"],
         default="plain",
         help="output format (default: plain)",
     )
@@ -289,10 +281,10 @@ def _out_file(name: str) -> str:
     return name
 
 
-def _write(output: str | Iterable[str], stream) -> None:
-    """Write the output, then one newline unless it is empty or already ends with one."""
+def _write(output: Iterable[str], stream) -> None:
+    """Write the text chunks, then one newline unless they are empty or already end with one."""
     last = ""
-    for chunk in (output,) if isinstance(output, str) else output:
+    for chunk in output:
         if chunk:
             stream.write(chunk)
             last = chunk
@@ -300,7 +292,7 @@ def _write(output: str | Iterable[str], stream) -> None:
         stream.write("\n")
 
 
-def _emit(output: str | Iterable[str], out_path: str | None) -> None:
+def _emit(output: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
         _write(output, sys.stdout)
         return
@@ -330,8 +322,8 @@ def _replacement_for(path: str) -> tuple[int, str, int | None] | None:
     """A new temporary file beside path, and the mode of path when it exists.
 
     None when path exists but is not a regular file (a device, a FIFO, a
-    symlink), or when no temporary file can be made beside it: then path is
-    written in place, and any error names path itself.
+    symlink) or is one the user cannot write, or when no temporary file can be
+    made beside it: then path is written in place, and any error names path itself.
     """
     try:
         st = os.lstat(path)
@@ -340,7 +332,7 @@ def _replacement_for(path: str) -> tuple[int, str, int | None] | None:
     except OSError:
         return None
     else:
-        if not stat.S_ISREG(st.st_mode):
+        if not stat.S_ISREG(st.st_mode) or not os.access(path, os.W_OK):
             return None
         mode = stat.S_IMODE(st.st_mode)
     directory, name = os.path.split(os.path.abspath(path))

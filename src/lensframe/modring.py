@@ -51,11 +51,13 @@ def units(m: int) -> tuple[int, ...]:
 def prime_factors(m: int) -> tuple[int, ...]:
     """The distinct prime factors of m >= 1 in increasing order, by trial division."""
     factors = []
-    for f in range(2, math.isqrt(m) + 1):
+    f = 2
+    while f * f <= m:  # m is the cofactor still unfactored
         if m % f == 0:
             factors.append(f)
             while m % f == 0:
                 m //= f
+        f += 1
     return tuple(factors + [m] if m > 1 else factors)
 
 

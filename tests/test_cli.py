@@ -298,6 +298,20 @@ def test_out_keeps_the_mode_of_the_replaced_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
+def test_out_does_not_replace_a_file_the_user_cannot_write(tmp_path, capsys, monkeypatch):
+    # Replacing needs only a writable directory, so a FILE the user cannot
+    # write is opened in place, where open() refuses it as the shell would.
+    # os.access is patched so that the file reads as unwritable for any uid.
+    target = tmp_path / "t.txt"
+    target.write_text("old contents\n")
+    inode = target.stat().st_ino
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["invariant", "5", "2", "--out", str(target)]) == 0
+    assert target.stat().st_ino == inode
+    assert target.read_text() == "3 (mod 5)\n"
+    assert os.listdir(tmp_path) == ["t.txt"]
+
+
 def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
     real = tmp_path / "real.txt"
     real.write_text("old contents\n")
@@ -333,8 +347,8 @@ def test_table_header_is_written_before_the_last_p_is_computed(monkeypatch):
     monkeypatch.setattr(sweeps, "invariant_table", recorder)
     assert main(["table", "3", "9", "--format", "csv"]) == 0
     assert list(written_before) == [3, 5, 7, 9]
-    assert written_before[3] == "p,q,q_inv,odd_rep_q,odd_rep_qinv,F,F_norm"
-    assert written_before[9].endswith("\n7,6,6,13,13,1,4")  # all of p = 7 is out already
+    assert written_before[3] == "p,q,q_inv,odd_rep_q,odd_rep_qinv,F,F_norm\n"
+    assert written_before[9].endswith("\n7,6,6,13,13,1,4\n")  # all of p = 7 is out already
 
 
 def test_verify_small(capsys):
@@ -388,7 +402,7 @@ def test_verification_memory_stays_small():
     tracemalloc.start()
     try:
         report = run_verification(399)
-        for fmt in (cli.OutputFormat.PLAIN, cli.OutputFormat.JSON):
+        for fmt in ("plain", "json"):
             cli._write(cli._render_verify(report, fmt), _NullSink())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -459,7 +473,7 @@ def test_search_memory_holds_the_sums_not_the_pairs():
     sink = _LineCounter()
     tracemalloc.start()
     try:
-        cli._write(cli._render_search(find_exotic_pairs(41, 2), cli.OutputFormat.PLAIN), sink)
+        cli._write(cli._render_search(find_exotic_pairs(41, 2), "plain"), sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -559,6 +573,7 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["invariant", "5", "2", "--format", "yaml"]) == 1
+    assert "invalid choice: 'yaml' (choose from 'plain', 'csv', 'json')" in capsys.readouterr().err
     assert main(["search", "7", "3"]) == 1
 
 

@@ -202,6 +202,12 @@ def test_prime_factors_match_sieve():
     assert prime_factors(10**7 + 19) == (10**7 + 19,)
 
 
+def test_prime_factors_stop_at_the_root_of_the_cofactor():
+    # Trial division up to sqrt(3**40) would take about 3.5e9 steps.
+    assert prime_factors(3**40) == (3,)
+    assert is_prime(3**40) is False
+
+
 def test_is_prime_examples():
     assert is_prime(5)
     assert not is_prime(1)
