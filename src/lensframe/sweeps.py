@@ -66,7 +66,7 @@ def first_bad_lift(p: int, q: int, q_inv: int, max_shift: int) -> int | None:
     """First value (a+2jp-1)(b+2kp-1)/4 mod p that differs from F(L(p, q)), or None.
 
     a and b are the odd lifts of the unit q and of its inverse q_inv, both in
-    [1, p); tries every 0 <= j, k <= max_shift.
+    [1, p); tries every 0 <= j, k <= max_shift, j in the outer loop.
     """
     a = odd_lift(q, p) - 1
     b = odd_lift(q_inv, p) - 1
@@ -82,10 +82,11 @@ def first_bad_lift(p: int, q: int, q_inv: int, max_shift: int) -> int | None:
     return None
 
 
-def lift_mismatch(p: int, max_shift: int) -> int:
-    """First unit whose invariant depends on the choice of odd lifts, or -1."""
+def lift_mismatch(p: int, max_shift: int) -> tuple[int, int] | None:
+    """(q, first_bad_lift's value) at the first unit q whose invariant depends on the odd lifts, or None."""
     group, inverses = unit_group(p)
     for q in group:
-        if first_bad_lift(p, q, inverses[q], max_shift) is not None:
-            return q
-    return -1
+        # Swapping q and q^-1 swaps a with b and j with k: each class {q, q^-1} is swept once, at its smaller member.
+        if q <= inverses[q] and (value := first_bad_lift(p, q, inverses[q], max_shift)) is not None:
+            return q, value
+    return None

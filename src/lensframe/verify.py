@@ -44,16 +44,14 @@ def run_verification(max_p: int) -> VerificationReport:
     for p in range(3, max_p + 1, 2):
         table = sweeps.invariant_table(p)
         unit_values, inverses = sweeps.unit_group(p)
-        # Per unit: (MAX_SHIFT + 1)**2 lift products, then inverse symmetry,
-        # antisymmetry, and its share of the prime check or collision scan.
+        # Per unit: (MAX_SHIFT + 1)**2 lift products (made once per class {q, q^-1}, counted for
+        # both), then inverse symmetry, antisymmetry, and its share of the prime check or collision scan.
         report.checks_run += len(unit_values) * ((MAX_SHIFT + 1) ** 2 + 3)
 
-        bad = sweeps.lift_mismatch(p, MAX_SHIFT)
-        if bad != -1:
-            actual = sweeps.first_bad_lift(p, bad, inverses[bad], MAX_SHIFT)
-            report.failures.append(
-                ("representative-independence", p, bad, None, table[bad], actual)
-            )
+        mismatch = sweeps.lift_mismatch(p, MAX_SHIFT)
+        if mismatch is not None:
+            bad, actual = mismatch
+            report.failures.append(("representative-independence", p, bad, None, table[bad], actual))
 
         for q in unit_values:
             q_inv = inverses[q]

@@ -48,5 +48,28 @@ def related_by_inverses(kind: RelationKind, p: int, q: int, q2: int) -> bool:
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
+def lift_mismatch(p: int, max_shift: int, lift=odd_lift) -> tuple[int, int] | None:
+    """Oracle of sweeps.lift_mismatch: (q, value) at the first unit q whose lifted values differ, or None.
+
+    Every unit is tried, none skipped for its inverse.  a and b are the lifts
+    that lift gives q and q^-1; the values (a + 2jp - 1)(b + 2kp - 1)/4 mod p
+    go in (j, k) order, and value is the first unlike (a - 1)(b - 1)/4 mod p.
+    """
+    for q in units(p):
+        a, b = lift(q, p), lift(inverse(q, p), p)
+        base = (a - 1) * (b - 1) // 4 % p
+        for j in range(max_shift + 1):
+            for k in range(max_shift + 1):
+                value = (a + 2 * j * p - 1) * (b + 2 * k * p - 1) // 4 % p
+                if value != base:
+                    return q, value
+    return None
+
+
+def even_lift(v: int, p: int) -> int:
+    """The even member of {v, v + p}: a wrong lift, under which the lift sweep has failures to report."""
+    return v if v % 2 == 0 else v + p
+
+
 def _framing(p: int, q: int, q_inv: int) -> int:
     return (odd_lift(q, p) - 1) * (odd_lift(q_inv, p) - 1) // 4 % p

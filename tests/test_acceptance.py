@@ -52,7 +52,7 @@ def test_criterion_01_anchor_values():
 def test_criterion_02_representative_independence():
     start = time.perf_counter()
     for p in ODD_TO_499:
-        assert sweeps.lift_mismatch(p, 5) == -1
+        assert sweeps.lift_mismatch(p, 5) is None
     _finish("2: invariant independent of odd lifts (j, k <= 5) for odd p <= 499", start, 30.0)
 
 

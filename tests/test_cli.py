@@ -22,6 +22,7 @@ from lensframe.connectsum import ExoticPairs, find_exotic_pairs
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import is_prime
 from lensframe.verify import run_verification
+from reference import even_lift
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -178,15 +179,11 @@ def test_verify_matches_golden_output(tmp_path, capsys, max_p, fmt):
     assert_golden_output(tmp_path, capsys, ["verify", str(max_p)], fmt, _mask_elapsed(fmt))
 
 
-def _even_lift(v, p):
-    return v if v % 2 == 0 else v + p
-
-
 @pytest.fixture
 def even_lifts(monkeypatch):
     # Sweeps with even lifts in place of odd ones; the tables they fill are
     # dropped before and after, so no other test sees them.
-    monkeypatch.setattr(sweeps, "odd_lift", _even_lift)
+    monkeypatch.setattr(sweeps, "odd_lift", even_lift)
     sweeps.invariant_table.cache_clear()
     yield
     sweeps.invariant_table.cache_clear()
@@ -351,6 +348,19 @@ def test_table_header_is_written_before_the_last_p_is_computed(monkeypatch):
     assert written_before[9].endswith("\n7,6,6,13,13,1,4\n")  # all of p = 7 is out already
 
 
+def test_readme_cli_comments_match_the_first_output_line(capsys):
+    # Every "# ->" comment in README's CLI block is the first line its command prints.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("# ->") for line in block.splitlines() if "# ->" in line]
+    assert len(examples) >= 5
+    for command, expected in examples:
+        argv = command.split()
+        assert argv[0] == "lensframe"
+        code, out, _ = run_cli(capsys, *argv[1:])
+        assert (code, out.splitlines()[0]) == (0, expected.strip()), command
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "5")
     assert code == 0
@@ -420,7 +430,7 @@ def test_verification_records_a_lift_failure(monkeypatch):
     sweeps.invariant_table(3)  # cached with the true odd lifts before the patch
 
     # With even lifts the value depends on the shift: 3*3//4 = 2 but 3*9//4 = 0 (mod 3).
-    monkeypatch.setattr(sweeps, "odd_lift", _even_lift)
+    monkeypatch.setattr(sweeps, "odd_lift", even_lift)
     report = run_verification(3)
     assert report.failures == [("representative-independence", 3, 1, None, 0, 0)]
 

@@ -73,7 +73,7 @@ def test_evaluation_routes_agree(unit):
 @given(st.integers(1, 499).map(lambda n: 2 * n + 1))
 def test_sweeps_agree_and_come_back_clean(p):
     assert sweeps.invariant_table(p) == sweeps.residue_table(p)
-    assert sweeps.lift_mismatch(p, 2) == -1
+    assert sweeps.lift_mismatch(p, 2) is None
 
 
 def _table_text(p_min, p_max, fmt):

@@ -1,7 +1,8 @@
 import pytest
 
+import reference
 from lensframe import sweeps
-from lensframe.framing import LensSpace, framing_invariant, framing_invariant_residue
+from lensframe.framing import LensSpace, framing_invariant, framing_invariant_residue, odd_lift
 from lensframe.modring import inverse, units
 from lensframe.sweeps import TABLE_CACHE_SIZE
 
@@ -35,6 +36,27 @@ def test_invariant_table_matches_scalar_route():
                 assert table[q] == -1
 
 
+def test_invariant_table_lifts_every_unit_for_its_own_value(monkeypatch):
+    # Each value comes from its own unit's lift and its inverse's, so every unit
+    # is lifted twice.  A table that copied F(q^-1) from F(q) would lift each once,
+    # and verify's inverse-symmetry check would then compare a value with itself.
+    lifted = []
+
+    def counted(v, p):
+        lifted.append(v)
+        return odd_lift(v, p)
+
+    monkeypatch.setattr(sweeps, "odd_lift", counted)
+    sweeps.invariant_table.cache_clear()
+    try:
+        for p in (5, 7, 9, 15):
+            lifted.clear()
+            sweeps.invariant_table(p)
+            assert sorted(lifted) == sorted(2 * units(p))
+    finally:
+        sweeps.invariant_table.cache_clear()
+
+
 def test_residue_table_matches_scalar_route():
     for p in SAMPLE_P:
         table = sweeps.residue_table(p)
@@ -44,7 +66,30 @@ def test_residue_table_matches_scalar_route():
 
 def test_lift_sweeps_come_back_clean():
     for p in SAMPLE_P:
-        assert sweeps.lift_mismatch(p, 5) == -1
+        assert sweeps.lift_mismatch(p, 5) is None
+
+
+def _even_in_top_third(v, p):
+    # Even lifts only above 2p/3: the first failing unit then varies with p.
+    return odd_lift(v, p) + (p if 3 * v > 2 * p else 0)
+
+
+@pytest.mark.parametrize("lift", [odd_lift, reference.even_lift, _even_in_top_third])
+def test_class_sweep_matches_the_per_unit_oracle(monkeypatch, lift):
+    # Each class {q, q^-1} is swept once, at its smaller member; the oracle tries every
+    # unit.  Under a wrong lift both must still name the same first unit and value.
+    monkeypatch.setattr(sweeps, "odd_lift", lift)
+    found = []
+    for p in range(3, 302, 2):
+        found.append(reference.lift_mismatch(p, 5, lift))
+        assert sweeps.lift_mismatch(p, 5) == found[-1]
+    first_units = [q for q, _ in filter(None, found)]
+    if lift is odd_lift:
+        assert first_units == []
+    else:
+        # The even lift fails at q = 1 for every p; the top-third lift at many different units.
+        assert len(first_units) >= 149
+        assert len(set(first_units)) >= (1 if lift is reference.even_lift else 10)
 
 
 def test_kernels_reject_bad_p():
