@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, repeat
 from operator import attrgetter
 
-from .classify import _FRAMING_EQUAL, _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind
+from .classify import _FRAMING_EQUAL, _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, related
 from .framing import LensSpace
 from .modring import inverse, is_odd_part_square, is_odd_part_square_up_to_sign, is_prime, units
 
@@ -52,7 +52,7 @@ def _require_matching_kind(kind: RelationKind) -> None:
 
 
 def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
-    """(p, least residue in the kind-orbit of q); at equal p, equal keys decide the relation."""
+    """(p, least residue in q's kind-orbit): find_exotic_pairs' grouping key; sums match through related()."""
     _require_matching_kind(kind)
     _require_odd_order(space)
     p, q = space.p, space.q
@@ -67,16 +67,23 @@ def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
 
 
 def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
-    """Whether the two sums match summand-for-summand under the relation.
+    """Whether the two sums match summand-for-summand under the relation, as related() decides it.
 
     For the homeomorphism kinds this decides equivalence of the sums outright
     (prime decompositions are unique); for the homotopy kinds a match is a
     sufficient certificate, and a failed match only means no certificate.
+    Greedy matching is exact: each kind's classes are group orbits on the units of Z/p.
     """
     _require_matching_kind(kind)
-    keys_a = sorted([canonical_key(s, kind) for s in a.summands])
-    keys_b = sorted([canonical_key(s, kind) for s in b.summands])
-    return keys_a == keys_b
+    if [s.p for s in a.summands] != [t.p for t in b.summands]:
+        return False
+    unmatched = list(b.summands)  # each of a's summands takes the first related one left in b
+    for s in a.summands:
+        i = next((i for i, t in enumerate(unmatched) if t.p == s.p and related(kind, s.p, s.q, t.q)), None)
+        if i is None:
+            return False
+        del unmatched[i]
+    return True
 
 
 class ExoticPairs:

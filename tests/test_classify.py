@@ -13,7 +13,7 @@ from lensframe.classify import (
     verify_prime_classification,
 )
 from lensframe.verify import run_verification
-from lensframe.connectsum import canonical_key
+from lensframe.connectsum import SumOfLens, canonical_key, sums_equivalent
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import is_prime, units
 
@@ -82,6 +82,18 @@ def test_point_queries_build_no_per_modulus_tables(monkeypatch):
     assert canonical_key(LensSpace(p, half), RK.HOMEO) == (p, 2)
     assert canonical_key(LensSpace(p, 12), RK.ORIENTED_HOMOTOPY) == (p, 1)
     assert canonical_key(LensSpace(p, p - 1), RK.HOMOTOPY) == (p, 1)
+
+    def at_p(*qs):
+        return SumOfLens(tuple(LensSpace(p, q) for q in qs))
+
+    assert sums_equivalent(at_p(2, 3), at_p(3, half), RK.ORIENTED_HOMEO)
+    assert not sums_equivalent(at_p(2, 3), at_p(3, p - half), RK.ORIENTED_HOMEO)
+    assert sums_equivalent(at_p(2, 3), at_p(3, p - half), RK.HOMEO)
+    assert not sums_equivalent(at_p(2, 3), at_p(3, 4), RK.HOMEO)
+    assert sums_equivalent(at_p(1, 3), at_p(3, 12), RK.ORIENTED_HOMOTOPY)
+    assert not sums_equivalent(at_p(1, 3), at_p(3, p - 12), RK.ORIENTED_HOMOTOPY)
+    assert sums_equivalent(at_p(1, 3), at_p(3, p - 12), RK.HOMOTOPY)
+    assert not sums_equivalent(at_p(1, 3), at_p(1), RK.HOMOTOPY)  # every unit is +-a square at this p
     assert [cache.cache_info() for cache in caches] == before
 
 

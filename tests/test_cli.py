@@ -25,6 +25,7 @@ from lensframe.verify import run_verification
 from reference import even_lift
 
 GOLDEN = Path(__file__).parent / "golden"
+README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
 def run_cli(capsys, *argv):
@@ -350,8 +351,7 @@ def test_table_header_is_written_before_the_last_p_is_computed(monkeypatch):
 
 def test_readme_cli_comments_match_the_first_output_line(capsys):
     # Every "# ->" comment in README's CLI block is the first line its command prints.
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    block = README.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
     examples = [line.split("# ->") for line in block.splitlines() if "# ->" in line]
     assert len(examples) >= 5
     for command, expected in examples:
@@ -359,6 +359,52 @@ def test_readme_cli_comments_match_the_first_output_line(capsys):
         assert argv[0] == "lensframe"
         code, out, _ = run_cli(capsys, *argv[1:])
         assert (code, out.splitlines()[0]) == (0, expected.strip()), command
+
+
+def _readme_formats():
+    # README's per-subcommand bullets, by name, each joined onto one line.
+    bullets = README.split("`--out FILE`.", 1)[1].split("\n## ", 1)[0].split("\n- `")[1:]
+    return {bullet.split("`", 1)[0]: " ".join(bullet.split()) for bullet in bullets}
+
+
+def test_readme_table_header_matches_the_cli(capsys):
+    # The CSV header, and the fields of every JSON row, in order.
+    table = _readme_formats()["table"]
+    header = re.search(r"CSV header is exactly `([^`]+)`", table).group(1)
+    code, out, _ = run_cli(capsys, "table", "3", "5", "--format", "csv")
+    assert (code, out.splitlines()[0]) == (0, header)
+    assert "JSON rows carry the same field names" in table
+    code, out, _ = run_cli(capsys, "table", "3", "5", "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and rows and all(list(row) == header.split(",") for row in rows)
+
+
+@pytest.mark.parametrize("argv", [["invariant", "5", "2"], ["verify", "15"], ["search", "7", "1"], ["obstruct", "120", "1"]])
+def test_readme_json_fields_match_the_cli(capsys, argv):
+    # Each JSON record (a list's items, or the one object) has the fields README lists, in order.
+    fields = re.findall(r'"(\w+)"', re.search(r"JSON[^`{]*`(\{.*?\})`", _readme_formats()[argv[0]]).group(1))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    records = payload if isinstance(payload, list) else [payload]
+    assert code == 0 and records
+    assert all(list(record) == fields for record in records)
+
+
+def test_readme_exit_codes_match_the_cli(even_lifts, monkeypatch):
+    # README's list is every exit code there is: each one, and each cause it names, is run here.
+    codes = re.search(r"Exit codes: (.*?), and nothing else\.", " ".join(README.split())).group(1)
+    observed = {
+        "success": {main(["invariant", "5", "2"])},
+        "usage or input error or an interrupt": {main(["invariant"]), main(["verify", "2"])},
+        "verification failure": {main(["verify", "3"])},  # even lifts fail at p = 3
+    }
+
+    def ctrl_c(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_dispatch", ctrl_c)
+    observed["usage or input error or an interrupt"].add(main(["invariant", "5", "2"]))
+    assert {text.strip(): {int(c)} for c, text in re.findall(r"`(\d+)` ([a-z ]+)", codes)} == observed
 
 
 def test_verify_small(capsys):

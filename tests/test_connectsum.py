@@ -137,6 +137,30 @@ def test_sums_equivalence_sampled_up_to_11():
             assert sums_equivalent(a, b, kind) == expected
 
 
+def test_sums_equivalent_matches_the_key_oracle_with_repeated_orders():
+    # Every pair of 3-summand sums over p in {5, 9, 15} that share their orders,
+    # against the sorted canonical keys: sums_equivalent asks related() alone.
+    spaces = [LensSpace(p, q) for p in (5, 9, 15) for q in units(p)]
+    by_orders = {}
+    for summands in combinations_with_replacement(spaces, 3):
+        by_orders.setdefault(tuple(s.p for s in summands), []).append(SumOfLens(summands))
+    assert len(by_orders) == 10
+    for kind in GEOMETRIC:
+        for group in by_orders.values():
+            keys = [sorted(canonical_key(x, kind) for x in s.summands) for s in group]
+            for i, j in combinations_with_replacement(range(len(group)), 2):
+                assert sums_equivalent(group[i], group[j], kind) == (keys[i] == keys[j]), (group[i], group[j])
+    # and a seeded sample of pairs of one to three summands whose orders differ
+    sums = [SumOfLens(summands) for n in (1, 2, 3) for summands in combinations_with_replacement(spaces, n)]
+    rng = random.Random(20261019)
+    samples = (rng.sample(sums, 2) for _ in range(1000))
+    pairs = [(a, b) for a, b in samples if [s.p for s in a.summands] != [s.p for s in b.summands]]
+    assert len(pairs) > 500
+    for kind in GEOMETRIC:
+        for a, b in pairs:
+            assert not sums_equivalent(a, b, kind), (a, b)
+
+
 def test_homeo_matching_implies_homotopy_matching():
     sums = all_sums((3, 5, 7, 9))
     for i, a in enumerate(sums):
