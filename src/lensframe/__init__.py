@@ -13,7 +13,7 @@ from .classify import (
     related,
     verify_prime_classification,
 )
-from .connectsum import SumOfLens, canonical_key, find_exotic_pairs, sums_equivalent
+from .connectsum import SumOfLens, find_exotic_pairs, sums_equivalent
 from .framing import (
     FramingClass,
     LensSpace,
@@ -38,7 +38,6 @@ __all__ = [
     "QuotientData",
     "RelationKind",
     "SumOfLens",
-    "canonical_key",
     "collision_scan",
     "equivariant_map_degree",
     "find_exotic_pairs",

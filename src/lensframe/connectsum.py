@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, repeat
 from operator import attrgetter
 
-from .classify import _FRAMING_EQUAL, _HOMEO, _HOMOTOPY, _ORIENTED_HOMEO, _ORIENTED_HOMOTOPY, RelationKind, related
+from .classify import _FRAMING_EQUAL, _ORIENTED_HOMOTOPY, RelationKind, related
 from .framing import LensSpace
-from .modring import inverse, is_odd_part_square, is_odd_part_square_up_to_sign, is_prime, units
-
-_GEOMETRIC_KINDS = (_ORIENTED_HOMEO, _HOMEO, _ORIENTED_HOMOTOPY, _HOMOTOPY)
+from .modring import is_prime
+from .sweeps import unit_group
 
 
 @dataclass(frozen=True)
@@ -30,40 +29,14 @@ class SumOfLens:
     def __post_init__(self) -> None:
         spaces = tuple(sorted(self.summands, key=attrgetter("p", "q")))
         for space in spaces:
-            _require_odd_order(space)
+            if space.p % 2 == 0:
+                raise ValueError(f"summand {space} has even order")
         object.__setattr__(self, "summands", spaces)
 
     def __str__(self) -> str:
         if not self.summands:
             return "S3"
         return "#".join(str(space) for space in self.summands)
-
-
-def _require_odd_order(space: LensSpace) -> None:
-    if space.p % 2 == 0:
-        raise ValueError(f"summand {space} has even order")
-
-
-def _require_matching_kind(kind: RelationKind) -> None:
-    if kind is _FRAMING_EQUAL:
-        raise ValueError(f"{kind.value} does not induce summand matching on sums")
-    if kind not in _GEOMETRIC_KINDS:
-        raise ValueError(f"unknown relation kind {kind!r}")
-
-
-def canonical_key(space: LensSpace, kind: RelationKind) -> tuple[int, int]:
-    """(p, least residue in q's kind-orbit): find_exotic_pairs' grouping key; sums match through related()."""
-    _require_matching_kind(kind)
-    _require_odd_order(space)
-    p, q = space.p, space.q
-    if kind is _ORIENTED_HOMEO or kind is _HOMEO:
-        # The orbit is {q, q^-1}; mirror images add {-q, -q^-1}.
-        q_inv = inverse(q, p)
-        return p, min(q, q_inv) if kind is _ORIENTED_HOMEO else min(q, q_inv, p - q, p - q_inv)
-    # related()'s test: u is in q's orbit exactly when u * q = (u / q) * q^2 is a
-    # square (up to sign).  A non-unit u fails it at a prime factor it shares with p.
-    square = is_odd_part_square if kind is _ORIENTED_HOMOTOPY else is_odd_part_square_up_to_sign
-    return p, next(u for u in range(1, p) if square(u * q % p, p))
 
 
 def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
@@ -74,7 +47,10 @@ def sums_equivalent(a: SumOfLens, b: SumOfLens, kind: RelationKind) -> bool:
     sufficient certificate, and a failed match only means no certificate.
     Greedy matching is exact: each kind's classes are group orbits on the units of Z/p.
     """
-    _require_matching_kind(kind)
+    if kind is _FRAMING_EQUAL:
+        raise ValueError(f"{kind.value} does not induce summand matching on sums")
+    if not isinstance(kind, RelationKind):
+        raise ValueError(f"unknown relation kind {kind!r}")
     if [s.p for s in a.summands] != [t.p for t in b.summands]:
         return False
     unmatched = list(b.summands)  # each of a's summands takes the first related one left in b
@@ -130,19 +106,26 @@ def find_exotic_pairs(max_p: int, num_summands: int) -> ExoticPairs:
         raise ValueError(f"max_p must be >= 3, got {max_p}")
     if num_summands not in (1, 2):
         raise ValueError(f"num_summands must be 1 or 2, got {num_summands}")
-    # One space per oriented-homeo class, in (p, q) order: units(p) is increasing.
-    spaces = [s for p in range(3, max_p + 1, 2) if is_prime(p)
-              for s in map(LensSpace, repeat(p), units(p)) if canonical_key(s, _ORIENTED_HOMEO)[1] == s.q]
-    homotopy_key = {(s.p, s.q): canonical_key(s, RelationKind.ORIENTED_HOMOTOPY) for s in spaces}
+    # One space per oriented-homeo class {q, q^-1}, its smaller member, in (p, q)
+    # order.  At a prime p oriented homotopy has two classes, the squares and
+    # the non-squares, so whether q is related to 1 names q's class.
+    spaces = []
+    homotopy_class = {}
+    for p in filter(is_prime, range(3, max_p + 1, 2)):
+        units_p, inverses = unit_group(p)
+        for q in units_p:
+            if q <= inverses[q]:
+                spaces.append(LensSpace(p, q))
+                homotopy_class[p, q] = related(_ORIENTED_HOMOTOPY, p, 1, q)
 
     # combinations_with_replacement yields every sum once, in (p, q)-tuple
     # order, so each homotopy group lists its sums in order and the heads
     # come in the order of their first sums: the pairs' order, unsorted.
     # The key holds p, so one dict over all p-multisets separates them.
-    by_homotopy: dict[tuple[tuple[int, int], ...], list[SumOfLens]] = {}
+    by_homotopy: dict[tuple[tuple[int, bool], ...], list[SumOfLens]] = {}
     heads = []
     for summands in combinations_with_replacement(spaces, num_summands):
-        group = by_homotopy.setdefault(tuple(sorted(homotopy_key[s.p, s.q] for s in summands)), [])
+        group = by_homotopy.setdefault(tuple(sorted((s.p, homotopy_class[s.p, s.q]) for s in summands)), [])
         heads.append((group, len(group)))
         group.append(SumOfLens(summands))
     return ExoticPairs(heads)

@@ -14,6 +14,32 @@ def square_units(m: int) -> frozenset[int]:
     return frozenset(u * u % m for u in units(m))
 
 
+@cache
+def orbit_keys(p: int) -> dict[int, dict[RelationKind, int]]:
+    """Each unit q of Z/p (p odd) -> the least member of its orbit under each geometric kind.
+
+    The orbits are listed, not tested: {q, q^-1} (mirrors add -q and -q^-1) for
+    the homeomorphism kinds, the coset q*S of the unit squares S for oriented
+    homotopy, and q*S together with -q*S for homotopy.
+    """
+    squares = square_units(p)
+    coset_min = {}
+    for q in units(p):
+        if q not in coset_min:
+            coset = {s * q % p for s in squares}
+            coset_min.update(dict.fromkeys(coset, min(coset)))
+    keys = {}
+    for q in units(p):
+        inv_q = inverse(q, p)
+        keys[q] = {
+            RelationKind.ORIENTED_HOMEO: min(q, inv_q),
+            RelationKind.HOMEO: min(q, inv_q, p - q, p - inv_q),
+            RelationKind.ORIENTED_HOMOTOPY: coset_min[q],
+            RelationKind.HOMOTOPY: min(coset_min[q], coset_min[p - q]),
+        }
+    return keys
+
+
 def fibers(p: int) -> dict[int, frozenset[int]]:
     """The units of Z/p (p odd) grouped by framing value: value -> its fiber."""
     require_odd(p)

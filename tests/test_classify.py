@@ -1,10 +1,11 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensframe import connectsum, modring, sweeps
+from lensframe import modring, sweeps
 from lensframe.classify import (
     RelationKind,
     collision_scan,
@@ -13,13 +14,14 @@ from lensframe.classify import (
     verify_prime_classification,
 )
 from lensframe.verify import run_verification
-from lensframe.connectsum import SumOfLens, canonical_key, sums_equivalent
+from lensframe.connectsum import SumOfLens, sums_equivalent
 from lensframe.framing import LensSpace, framing_invariant
 from lensframe.modring import is_prime, units
 
 import reference
 
 RK = RelationKind
+GEOMETRIC = (RK.ORIENTED_HOMEO, RK.HOMEO, RK.ORIENTED_HOMOTOPY, RK.HOMOTOPY)
 
 
 def poly_roots(p, c):
@@ -66,7 +68,7 @@ def test_point_queries_build_no_per_modulus_tables(monkeypatch):
     def no_units(m):
         raise AssertionError(f"units({m}) was listed")
 
-    for module in (modring, sweeps, connectsum):
+    for module in (modring, sweeps):
         monkeypatch.setattr(module, "units", no_units)
     caches = (sweeps.unit_group, sweeps.invariant_table)
     before = [cache.cache_info() for cache in caches]
@@ -79,9 +81,6 @@ def test_point_queries_build_no_per_modulus_tables(monkeypatch):
     assert related(RK.ORIENTED_HOMOTOPY, p, 1, 3)
     assert not related(RK.ORIENTED_HOMOTOPY, p, 3, p - 12)
     assert related(RK.HOMOTOPY, p, 3, p - 12)
-    assert canonical_key(LensSpace(p, half), RK.HOMEO) == (p, 2)
-    assert canonical_key(LensSpace(p, 12), RK.ORIENTED_HOMOTOPY) == (p, 1)
-    assert canonical_key(LensSpace(p, p - 1), RK.HOMOTOPY) == (p, 1)
 
     def at_p(*qs):
         return SumOfLens(tuple(LensSpace(p, q) for q in qs))
@@ -136,6 +135,32 @@ def test_related_matches_the_inverse_route(query):
     p, q, q2 = query
     for kind in RK:
         assert related(kind, p, q, q2) == reference.related_by_inverses(kind, p, q, q2)
+
+
+def test_related_matches_the_enumerated_orbits():
+    # every pair of units, against the orbits listed by reference.orbit_keys
+    for p in (5, 7, 9, 15):
+        keys = reference.orbit_keys(p)
+        for kind in GEOMETRIC:
+            for q in units(p):
+                for q2 in units(p):
+                    assert related(kind, p, q, q2) == (keys[q][kind] == keys[q2][kind]), (kind, p, q, q2)
+
+
+def test_related_joins_each_unit_to_its_orbits_least_member():
+    # all odd p <= 255: three prime factors at 105, 165, 195, 255; prime powers at 9, 27, 125, 243;
+    # then the p < 2000 with four odd prime factors, whose orbits' least members lie furthest out
+    for p in [*range(3, 256, 2), 1155, 1365, 1785, 1995]:
+        keys = reference.orbit_keys(p)
+        for kind in GEOMETRIC:
+            least = {q: key[kind] for q, key in keys.items()}
+            for q, u in least.items():
+                assert related(kind, p, q, u), (kind, p, q, u)
+            for u, u2 in combinations(sorted(set(least.values())), 2):
+                assert not related(kind, p, u, u2), (kind, p, u, u2)
+            if kind is RK.ORIENTED_HOMOTOPY and is_prime(p):
+                # two classes, squares and non-squares: find_exotic_pairs names each by relation to 1
+                assert len(set(least.values())) == 2, p
 
 
 def test_relations_are_equivalences():

@@ -4,11 +4,11 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from lensframe.classify import RelationKind, related
-from lensframe.connectsum import SumOfLens, canonical_key, find_exotic_pairs, sums_equivalent
+from lensframe.classify import RelationKind
+from lensframe.connectsum import SumOfLens, find_exotic_pairs, sums_equivalent
 from lensframe.framing import LensSpace
 from lensframe.modring import units
-from reference import square_units
+from reference import orbit_keys
 
 RK = RelationKind
 GEOMETRIC = (RK.ORIENTED_HOMEO, RK.HOMEO, RK.ORIENTED_HOMOTOPY, RK.HOMOTOPY)
@@ -26,6 +26,11 @@ def all_sums(ps):
     return sums
 
 
+def orbit_key_list(total, kind):
+    # the sum's summands as a sorted list of (p, least member of the orbit)
+    return sorted((x.p, orbit_keys(x.p)[x.q][kind]) for x in total.summands)
+
+
 def test_sum_is_sorted_and_printable():
     s = lens_sum((7, 3), (5, 1))
     assert [(x.p, x.q) for x in s.summands] == [(5, 1), (7, 3)]
@@ -36,63 +41,6 @@ def test_sum_is_sorted_and_printable():
 def test_sum_rejects_even_order():
     with pytest.raises(ValueError, match="even"):
         lens_sum((4, 1))
-
-
-def test_canonical_key_examples():
-    assert canonical_key(LensSpace(5, 3), RK.ORIENTED_HOMEO) == (5, 2)
-    assert canonical_key(LensSpace(5, 1), RK.HOMOTOPY) == (5, 1)
-    assert canonical_key(LensSpace(7, 1), RK.ORIENTED_HOMEO) == (7, 1)
-
-
-def enumerated_keys(p):
-    # least member of each unit's orbit, by listing the orbits (cosets of the squares)
-    squares = square_units(p)
-    coset_min = {}
-    for q in units(p):
-        if q not in coset_min:
-            coset = {s * q % p for s in squares}
-            coset_min.update(dict.fromkeys(coset, min(coset)))
-    keys = {}
-    for q in units(p):
-        inv_q = pow(q, -1, p)
-        keys[q] = {
-            RK.ORIENTED_HOMEO: min(q, inv_q),
-            RK.HOMEO: min(q, inv_q, p - q, p - inv_q),
-            RK.ORIENTED_HOMOTOPY: coset_min[q],
-            RK.HOMOTOPY: min(coset_min[q], coset_min[p - q]),
-        }
-    return keys
-
-
-def test_canonical_key_is_least_of_enumerated_orbit():
-    # all odd p <= 255: three prime factors at 105, 165, 195, 255; prime powers at 9, 27, 125, 243;
-    # then the p < 2000 with four odd prime factors, whose orbits' least members lie furthest out
-    for p in [*range(3, 256, 2), 1155, 1365, 1785, 1995]:
-        for q, expected in enumerated_keys(p).items():
-            for kind in GEOMETRIC:
-                assert canonical_key(LensSpace(p, q), kind) == (p, expected[kind])
-
-
-def test_canonical_key_rejects_framing_kind():
-    with pytest.raises(ValueError, match="summand matching"):
-        canonical_key(LensSpace(5, 2), RK.FRAMING_EQUAL)
-
-
-def test_canonical_key_rejects_a_non_kind():
-    # related() rejects a kind given by its value the same way.
-    with pytest.raises(ValueError, match="^unknown relation kind 'homeo'$"):
-        canonical_key(LensSpace(5, 2), "homeo")
-
-
-def test_canonical_key_decides_relation():
-    for p in (5, 7, 9, 15):
-        for kind in GEOMETRIC:
-            for q in units(p):
-                for q2 in units(p):
-                    same_key = canonical_key(LensSpace(p, q), kind) == canonical_key(
-                        LensSpace(p, q2), kind
-                    )
-                    assert same_key == related(kind, p, q, q2)
 
 
 def test_order5_double_sums_homotopy_matched_not_homeomorphic():
@@ -110,18 +58,35 @@ def test_empty_sums_reject_the_framing_kind():
     # The kind is checked before any summand is, so an empty sum cannot skip it.
     with pytest.raises(ValueError, match="summand matching"):
         sums_equivalent(SumOfLens(), SumOfLens(), RK.FRAMING_EQUAL)
+    # related() rejects a kind given by its value the same way.
+    with pytest.raises(ValueError, match="^unknown relation kind 'homeo'$"):
+        sums_equivalent(SumOfLens(), SumOfLens(), "homeo")
+
+
+# The two rejections canonical_key made, now made by sums_equivalent alone,
+# on a sum that has a summand to match.
+def test_canonical_key_rejects_framing_kind():
+    s = lens_sum((5, 2))
+    with pytest.raises(ValueError, match="summand matching"):
+        sums_equivalent(s, s, RK.FRAMING_EQUAL)
+
+
+def test_canonical_key_rejects_a_non_kind():
+    s = lens_sum((5, 2))
+    with pytest.raises(ValueError, match="^unknown relation kind 'homeo'$"):
+        sums_equivalent(s, s, "homeo")
 
 
 def test_sums_equivalence_properties_small():
     sums = all_sums((3, 5, 7, 9))
     for kind in GEOMETRIC:
-        keys = {i: sorted(canonical_key(x, kind) for x in s.summands) for i, s in enumerate(sums)}
+        keys = {i: orbit_key_list(s, kind) for i, s in enumerate(sums)}
         for i, a in enumerate(sums):
             assert sums_equivalent(a, a, kind)
             for j in range(i + 1, len(sums)):
                 forward = sums_equivalent(a, sums[j], kind)
                 assert forward == sums_equivalent(sums[j], a, kind)
-                # matching canonical keys is transitive, so this pins the relation
+                # matching orbit keys is transitive, so this pins the relation
                 assert forward == (keys[i] == keys[j])
 
 
@@ -131,15 +96,12 @@ def test_sums_equivalence_sampled_up_to_11():
     for kind in GEOMETRIC:
         for _ in range(2000):
             a, b = rng.choice(sums), rng.choice(sums)
-            expected = sorted(canonical_key(x, kind) for x in a.summands) == sorted(
-                canonical_key(x, kind) for x in b.summands
-            )
-            assert sums_equivalent(a, b, kind) == expected
+            assert sums_equivalent(a, b, kind) == (orbit_key_list(a, kind) == orbit_key_list(b, kind))
 
 
 def test_sums_equivalent_matches_the_key_oracle_with_repeated_orders():
     # Every pair of 3-summand sums over p in {5, 9, 15} that share their orders,
-    # against the sorted canonical keys: sums_equivalent asks related() alone.
+    # against the sorted orbit keys: sums_equivalent asks related() alone.
     spaces = [LensSpace(p, q) for p in (5, 9, 15) for q in units(p)]
     by_orders = {}
     for summands in combinations_with_replacement(spaces, 3):
@@ -147,7 +109,7 @@ def test_sums_equivalent_matches_the_key_oracle_with_repeated_orders():
     assert len(by_orders) == 10
     for kind in GEOMETRIC:
         for group in by_orders.values():
-            keys = [sorted(canonical_key(x, kind) for x in s.summands) for s in group]
+            keys = [orbit_key_list(s, kind) for s in group]
             for i, j in combinations_with_replacement(range(len(group)), 2):
                 assert sums_equivalent(group[i], group[j], kind) == (keys[i] == keys[j]), (group[i], group[j])
     # and a seeded sample of pairs of one to three summands whose orders differ

@@ -172,7 +172,7 @@ def test_odd_part_square_matches_enumeration():
 
 
 def test_product_square_is_coset_membership():
-    # the identity behind canonical_key: u * v is a square exactly when u is in
+    # the identity behind related(): u * v is a square exactly when u is in
     # the coset v * squares, since u * v = (u / v) * v^2; non-units fail both tests
     for m in range(3, 256, 2):
         squares = square_units(m)
