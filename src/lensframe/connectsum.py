@@ -10,24 +10,22 @@ not under oriented homeomorphism.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, repeat
 from operator import attrgetter
 
 from .classify import _FRAMING_EQUAL, _ORIENTED_HOMOTOPY, RelationKind, related
 from .framing import LensSpace
-from .modring import is_prime
+from .modring import Record, is_prime
 from .sweeps import unit_group
 
 
-@dataclass(frozen=True)
-class SumOfLens:
+class SumOfLens(Record):
     """Connected sum of odd-order lens spaces; the empty sum is the 3-sphere."""
 
-    summands: tuple[LensSpace, ...] = ()
+    __slots__ = ("summands",)
 
-    def __post_init__(self) -> None:
-        spaces = tuple(sorted(self.summands, key=attrgetter("p", "q")))
+    def __init__(self, summands: tuple[LensSpace, ...] = ()) -> None:
+        spaces = tuple(sorted(summands, key=attrgetter("p", "q")))
         for space in spaces:
             if space.p % 2 == 0:
                 raise ValueError(f"summand {space} has even order")

@@ -12,33 +12,32 @@ structure on the quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .modring import Modulus, inverse, require_odd
+from .modring import Modulus, Record, inverse, require_odd
 
 # Each framing class carries a Modulus; point queries at the same p share one.
 MODULUS_CACHE_SIZE = 4096
 _modulus = lru_cache(maxsize=MODULUS_CACHE_SIZE)(Modulus)
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Record):
     """Oriented lens space L(p, q): gcd(p, q) = 1 and q stored in [1, p-1].
 
     The same space with the opposite orientation is L(p, p - q).
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"group order must be >= 2, got {self.p}")
-        if not 1 <= self.q <= self.p - 1:
-            raise ValueError(f"q must lie in [1, {self.p - 1}], got {self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"not a lens space: gcd({self.p}, {self.q}) != 1")
+    def __init__(self, p: int, q: int) -> None:
+        if p < 2:
+            raise ValueError(f"group order must be >= 2, got {p}")
+        if not 1 <= q <= p - 1:
+            raise ValueError(f"q must lie in [1, {p - 1}], got {q}")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"not a lens space: gcd({p}, {q}) != 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def reversed(self) -> LensSpace:
         """Orientation reversal."""
@@ -48,18 +47,16 @@ class LensSpace:
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class FramingClass:
+class FramingClass(Record):
     """A residue class of pulled-back framings, carrying its modulus."""
 
-    value: int
-    modulus: Modulus
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus.m:
-            raise ValueError(
-                f"class value {self.value} out of range [0, {self.modulus.m})"
-            )
+    def __init__(self, value: int, modulus: Modulus) -> None:
+        if not 0 <= value < modulus.m:
+            raise ValueError(f"class value {value} out of range [0, {modulus.m})")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus.m})"
@@ -85,21 +82,19 @@ def framing_modulus(group_order: int, h1_z2_trivial: bool) -> Modulus:
     return Modulus(group_order // 2)
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(Record):
     """A free spherical quotient: group order, H_1(.; Z/2) flag, pullback class."""
 
-    group_order: int
-    h1_z2_trivial: bool
-    pullback_class: FramingClass
+    __slots__ = ("group_order", "h1_z2_trivial", "pullback_class")
 
-    def __post_init__(self) -> None:
-        expected = framing_modulus(self.group_order, self.h1_z2_trivial)
-        if self.pullback_class.modulus != expected:
-            raise ValueError(
-                f"pullback class modulus {self.pullback_class.modulus.m} does not "
-                f"match the required modulus {expected.m}"
-            )
+    def __init__(self, group_order: int, h1_z2_trivial: bool, pullback_class: FramingClass) -> None:
+        expected = framing_modulus(group_order, h1_z2_trivial)
+        if pullback_class.modulus != expected:
+            m = pullback_class.modulus.m
+            raise ValueError(f"pullback class modulus {m} does not match the required modulus {expected.m}")
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "h1_z2_trivial", h1_z2_trivial)
+        object.__setattr__(self, "pullback_class", pullback_class)
 
 
 def odd_lift(v: int, p: int) -> int:

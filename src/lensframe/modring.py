@@ -1,25 +1,55 @@
 """Exact arithmetic in Z/m on plain ints: inverses, units, unit squares, primality.
 
-Everything here is a pure function of its inputs; the values are immutable
-and safe to share between threads.
+Everything here is a pure function of its inputs; the values, and the Record
+base every value type builds on, are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Record:
+    """Base of the immutable value types: a subclass names its fields, in order, in __slots__,
+    and its __init__ checks its arguments and stores each with object.__setattr__. Records of
+    one class are equal, hash and pickle by their field tuple; fields cannot be reassigned."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Modulus(Record):
     """A modulus m >= 2 for residue arithmetic."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.m}")
+    def __init__(self, m: int) -> None:
+        if m < 2:
+            raise ValueError(f"modulus must be >= 2, got {m}")
+        object.__setattr__(self, "m", m)
 
 
 def require_odd(p: int) -> None:

@@ -241,11 +241,16 @@ def test_verify_rejects_max_p_past_its_arrays(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def _child_env():
+    # A child interpreter that imports this checkout's lensframe.
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_sigint_exits_1_and_keeps_the_old_file(tmp_path):
     target = tmp_path / "verify.txt"
     target.write_text("old contents\n")
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     # The child says when main is about to run, so the signal cannot land during start-up.
     launch = "import sys; from lensframe.cli import main; print(flush=True); sys.exit(main(sys.argv[1:]))"
     argv = [sys.executable, "-c", launch, "verify", "99999", "--out", str(target)]
@@ -439,11 +444,20 @@ def test_verification_report_counts():
 
 def test_verify_layer_imports_no_cli():
     # The engine is a library layer: importing it loads neither the CLI nor argparse.
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     code = "import sys, lensframe.verify; print('lensframe.cli' in sys.modules, 'argparse' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.split() == ["False", "False"]
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # Every run pays for what importing the CLI loads; dataclasses alone drags in inspect, ast,
+    # dis and tokenize, which nothing in the package uses.
+    code = "import sys; before = set(sys.modules); import lensframe.cli; print(*set(sys.modules) - before)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True)
+    added = set(result.stdout.split())
+    assert "lensframe.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
 
 
 class _NullSink:

@@ -1,6 +1,11 @@
+import copy
+import pickle
+from array import array
+
 import pytest
 
-from lensframe.framing import odd_lift, odd_lifts
+from lensframe.connectsum import SumOfLens
+from lensframe.framing import FramingClass, LensSpace, QuotientData, odd_lift, odd_lifts
 from lensframe.modring import (
     Modulus,
     inverse,
@@ -13,6 +18,7 @@ from lensframe.modring import (
     require_odd_prime,
     units,
 )
+from lensframe.verify import VerificationReport
 from reference import square_units
 
 
@@ -218,3 +224,76 @@ def test_is_prime_matches_sieve():
     flags = sieve(10000)
     for n in range(1, 10001):
         assert is_prime(n) == flags[n]
+
+
+# (record, its repr, what the no-argument constructor gives or None when it needs arguments)
+_RECORDS = [
+    (Modulus(5), "Modulus(m=5)", None),
+    (LensSpace(3, 1), "LensSpace(p=3, q=1)", None),
+    (FramingClass(3, Modulus(5)), "FramingClass(value=3, modulus=Modulus(m=5))", None),
+    (
+        QuotientData(8, False, FramingClass(1, Modulus(4))),
+        "QuotientData(group_order=8, h1_z2_trivial=False, "
+        "pullback_class=FramingClass(value=1, modulus=Modulus(m=4)))",
+        None,
+    ),
+    (
+        SumOfLens((LensSpace(5, 2), LensSpace(3, 1))),
+        "SumOfLens(summands=(LensSpace(p=3, q=1), LensSpace(p=5, q=2)))",
+        SumOfLens(()),
+    ),
+    (
+        VerificationReport(29, [("antisymmetry", 3, 1, 2, 1, 0)], 1.5, {15: array("I", [1, 4])}),
+        "VerificationReport(checks_run=29, failures=[('antisymmetry', 3, 1, 2, 1, 0)], elapsed_ms=1.5, "
+        "collisions={15: array('I', [1, 4])})",
+        VerificationReport(0, [], 0.0, {}),
+    ),
+]
+
+
+def _matched(record):
+    match record:
+        case Modulus(m):
+            return (m,)
+        case LensSpace(p, q):
+            return p, q
+        case FramingClass(value, modulus):
+            return value, modulus
+        case QuotientData(order, h1_trivial, pullback):
+            return order, h1_trivial, pullback
+        case SumOfLens(summands):
+            return (summands,)
+        case VerificationReport(checks, failures, elapsed, collisions):
+            return checks, failures, elapsed, collisions
+
+
+@pytest.mark.parametrize("record, text, default", _RECORDS, ids=[type(r).__name__ for r, _, _ in _RECORDS])
+def test_value_types_keep_the_frozen_record_contract(record, text, default):
+    cls = type(record)
+    names = cls.__match_args__
+    fields = tuple(getattr(record, name) for name in names)
+    twin = type("Twin", (cls,), {})(*fields)  # same fields, another class
+    assert _matched(record) == fields
+    assert record == cls(*fields) == cls(**dict(zip(names, fields)))
+    assert record != fields and fields != record and record != twin and twin != record
+    try:
+        field_hash = hash(fields)
+    except TypeError:  # VerificationReport's list and dict fields are unhashable, and so is the report
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*fields)) == field_hash
+    assert repr(record) == text
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == fields
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record and copy.copy(record) == record
+    if default is not None:
+        assert cls() == default
+        # Each record gets its own empty list and dict.
+        first, second = _matched(cls()), _matched(cls())
+        assert all(a is not b for a, b in zip(first, second) if isinstance(a, (list, dict)))

@@ -92,6 +92,16 @@ def test_class_sweep_matches_the_per_unit_oracle(monkeypatch, lift):
         assert len(set(first_units)) >= (1 if lift is reference.even_lift else 10)
 
 
+@pytest.mark.parametrize("lifts", [{1: 1, 2: 2}, {1: 2, 2: 1}], ids=["last_j", "last_k"])
+def test_first_bad_lift_tries_the_last_shift_of_each_lift(monkeypatch, lifts):
+    # At p = 3 each lookup makes one of a, b zero, so the base value is 0 and a product
+    # differs from it only once that side is shifted (j = 1, or k = 1): a sweep that stops
+    # one shift short in that range finds nothing.
+    monkeypatch.setattr(sweeps, "odd_lift", lambda v, p: lifts[v])
+    assert sweeps.first_bad_lift(3, 1, 2, 1) == 1
+    assert sweeps.first_bad_lift(3, 1, 2, 0) is None
+
+
 def test_kernels_reject_bad_p():
     for fn in (sweeps.unit_group, sweeps.invariant_table, sweeps.residue_table):
         with pytest.raises(ValueError):
